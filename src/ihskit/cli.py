@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import click
 import numpy as np
@@ -27,10 +26,13 @@ from .constraints import Unconstrained, constraint_from_json
 from .errors import IhskitError
 from .experiments import (
     EXPERIMENT_IDS,
+    FLAG_KEYWORDS,
     FULL_SCALE_OVERRIDES,
+    flag_overrides,
     run_experiment,
     summarize,
     write_rows,
+    write_text_atomic,
 )
 from .ihs import (
     IhsConfig,
@@ -38,6 +40,7 @@ from .ihs import (
     classical_sketch_solve,
     hessian_sketch_solve,
     ihs_solve,
+    recommend_sketch_size,
     solve_exact,
 )
 from .constraints import project as project_onto
@@ -86,7 +89,7 @@ def _load_table(path) -> np.ndarray:
                         f"{path}: line {lineno}: expected {width} fields, got {len(vals)}")
                 rows.append(vals)
     except OSError as exc:
-        raise _io_error(f"cannot read {path}: {exc}") from exc
+        raise _IOError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise click.UsageError(f"{path}: file contains no data")
     return np.asarray(rows, dtype=np.float64)
@@ -103,21 +106,11 @@ class _IOError(click.ClickException):
     exit_code = EXIT_IO
 
 
-def _io_error(message) -> _IOError:
-    return _IOError(message)
-
-
 def _atomic_write(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        write_text_atomic(path, text)
     except OSError as exc:
-        raise _io_error(f"cannot write {path}: {exc}") from exc
+        raise _IOError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -153,7 +146,7 @@ def _parse_config_file(path):
                                 f"{path}: line {lineno}: unquoted non-numeric value {val!r}"
                             ) from exc
     except OSError as exc:
-        raise _io_error(f"cannot read {path}: {exc}") from exc
+        raise _IOError(f"cannot read {path}: {exc}") from exc
     return values
 
 
@@ -269,8 +262,6 @@ def _controls(inner_tol, inner_max_iter, no_acceleration) -> SolverControls:
 
 def _recommended_m(problem, p) -> int:
     """Derive the sketch dimension from the width formula when possible."""
-    from .ihs import recommend_sketch_size
-
     try:
         if p["generate"] == "sparse":
             m = recommend_sketch_size("sparse", d=problem.d, s=p["s"],
@@ -334,6 +325,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                              p["seed"])
     ctl = _controls(p["inner_tol"], p["inner_max_iter"], p["no_acceleration"])
     method = p["method"]
+    ref = _load_vector(p["reference"]) if p["reference"] else None
     report = None
     converged = True
     if method == "exact":
@@ -347,7 +339,6 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         elif method == "hessian":
             x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
         else:
-            ref = _load_vector(p["reference"]) if p["reference"] else None
             try:
                 cfg = IhsConfig(spec, p["rounds"], rho=p["rho"], inner=ctl,
                                 collect_certificates=p["certificates"])
@@ -358,8 +349,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             converged = report.all_converged
 
     final_ref_err = None
-    if p["reference"]:
-        ref = _load_vector(p["reference"])
+    if ref is not None:
         final_ref_err = problem.seminorm(x - ref)
         click.echo(f"error to reference (prediction seminorm): {final_ref_err:.10e}")
 
@@ -431,55 +421,17 @@ def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, ki
         raise click.UsageError("--id, --out and --seed are required")
     if p["seed"] < 0:
         raise click.UsageError("--seed must be a non-negative integer")
-    if exp_id not in EXPERIMENT_IDS:
-        raise click.UsageError(
-            f"unknown experiment id {exp_id!r}; valid ids: {', '.join(EXPERIMENT_IDS)}")
-    overrides = {}
-    if p["full_scale"]:
-        overrides.update(FULL_SCALE_OVERRIDES[exp_id])
-    if p["trials"] is not None:
-        overrides["trials"] = p["trials"]
-    if p["sigma"] is not None:
-        overrides["sigma"] = p["sigma"]
-    if p["kind"] is not None:
-        overrides["kind"] = p["kind"]
-    if p["rounds"] is not None:
-        overrides["rounds"] = p["rounds"]
-    gamma = p["gamma"]
-    if gamma:
-        if exp_id in ("fig2", "fig4"):
-            overrides["gammas"] = tuple(gamma)
-        elif exp_id in ("fig3", "fig5"):
-            if len(gamma) != 1:
-                raise click.UsageError(f"{exp_id} takes a single --gamma")
-            overrides["gamma"] = gamma[0]
-        else:
-            raise click.UsageError(f"--gamma does not apply to {exp_id}")
-    if p["d"] is not None:
-        if exp_id in ("fig1", "fig2", "fig4"):
-            overrides["d"] = p["d"]
-        elif exp_id in ("fig3", "fig5"):
-            overrides["d_grid"] = (p["d"],)
-        else:
-            raise click.UsageError(f"--d does not apply to {exp_id}")
-    if p["n"] is not None:
-        if exp_id in ("fig2", "fig4"):
-            overrides["n"] = p["n"]
-        elif exp_id in ("fig1", "fig6a"):
-            overrides["n_grid"] = (p["n"],)
-        else:
-            raise click.UsageError(f"--n does not apply to {exp_id}")
-    if p["m"] is not None:
-        if exp_id == "fig6a":
-            overrides["m"] = p["m"]
-        else:
-            raise click.UsageError("--m only applies to fig6a")
+    try:
+        flags = flag_overrides(exp_id, {f: p[f] for f in FLAG_KEYWORDS})
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    overrides = {**(FULL_SCALE_OVERRIDES[exp_id] if p["full_scale"] else {}), **flags}
     nthreads = p["threads"] if p["threads"] is not None else _default_threads()
     rows = run_experiment(exp_id, p["seed"], threads=nthreads, **overrides)
     try:
         write_rows(rows, p["out"])
     except OSError as exc:
-        raise _io_error(f"cannot write {p['out']}: {exc}") from exc
+        raise _IOError(f"cannot write {p['out']}: {exc}") from exc
     click.echo(f"{exp_id}: {len(rows)} rows -> {p['out']}")
     click.echo(summarize(rows))
 

@@ -1,7 +1,18 @@
 """Problem generators, error metrics and figure-style experiment runners.
 
-Each runner regenerates one of the benchmark experiments at desk scale
-and emits rows with the fixed CSV schema
+Each runner regenerates one of the benchmark experiments at desk scale.
+A runner only lists its grid points (problem generator, reported n and
+d, sketch size, rounds) and hands them to one of two shapes:
+
+* comparison (fig1, fig3, fig5, fig6a) - per point and trial, an
+  ``exact``, an ``ihs`` and a ``classical`` row with their final errors;
+* trace (fig2, fig4) - per point and trial, one ``ihs`` row per iterate,
+  flagged with the point's tag, ``gamma=<value>``.
+
+Point i, trial t draws its problem from the stream ``(seed, fig, i, t,
+0)`` and its IHS and classical sketches from ``(fig, i, t, 1)`` and
+``(fig, i, t, 2)``. A typed solver error turns the point's rows into one
+``failed:<Error>`` row. Rows have the fixed CSV schema
 
     experiment,trial,n,d,method,iter,err_ls_semi,err_truth_semi,err_truth_l2,seconds,flag
 
@@ -15,20 +26,22 @@ deterministic (grid, trial) order.
 from __future__ import annotations
 
 import csv
+import inspect
+import io
 import math
 import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import astuple, dataclass, replace
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .constraints import L1Ball, NuclearBall
 from .errors import IhskitError
-from .ihs import IhsConfig, LsProblem, ihs_solve, solve_exact
-from .ihs import classical_sketch_solve
+from .ihs import IhsConfig, LsProblem, classical_sketch_solve, ihs_solve, solve_exact
 from .linalg import ensure_matrix, ensure_vector
 from .seeding import derive_rng
 from .sketch import SketchSpec
@@ -174,10 +187,8 @@ def gen_lowrank(n: int, d1: int, d2: int, r: int, sigma: float, seed) -> LsProbl
 
 
 def _gen_rng(seed) -> np.random.Generator:
-    if isinstance(seed, (int, np.integer)):
-        return derive_rng(int(seed))
-    seq = tuple(int(v) for v in seed)
-    return derive_rng(seq[0], *seq[1:])
+    # an integer master seed, or the sequence (seed, *stream ids)
+    return derive_rng(seed) if isinstance(seed, (int, np.integer)) else derive_rng(*seed)
 
 
 def _row(exp, trial, n, d, method, iteration, problem, x, x_ls, seconds, flag=""):
@@ -193,16 +204,28 @@ def _fail_row(exp, trial, n, d, method, exc):
                          f"failed:{type(exc).__name__}")
 
 
-def _execute(tasks: Sequence[Callable[[], List[ExperimentRow]]], threads: int):
+class _Point(NamedTuple):
+    """One grid point; ``make`` builds the problem from its RNG stream.
+    The classical sketch defaults to IHS's total budget, rounds * m rows."""
+
+    make: Callable[[tuple], LsProblem]
+    n: int
+    d: int
+    m: int
+    rounds: int
+    classical_m: Optional[int] = None
+    flat_classical: bool = False
+    tag: str = ""
+
+
+def _execute(task, points, trials: int, threads: int) -> List[ExperimentRow]:
+    jobs = [(i, point, t) for i, point in enumerate(points) for t in range(trials)]
     if threads <= 1:
-        chunks = [task() for task in tasks]
+        chunks = [task(*job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    rows: List[ExperimentRow] = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return rows
+            chunks = list(pool.map(lambda job: task(*job), jobs))
+    return [row for chunk in chunks for row in chunk]
 
 
 def _timed(fn):
@@ -211,198 +234,108 @@ def _timed(fn):
     return out, time.perf_counter() - tic
 
 
-def _run_fig1(seed, d=10, m_factor=7, n_grid=(100, 400, 1600, 6400), trials=30,
-              sigma=1.0, kind="gaussian", threads=1):
-    fig = _FIG_STREAM["fig1"]
-    m = m_factor * d
+def _compare(exp, seed, points, trials, kind, threads):
+    """An exact, an IHS and a classical-sketch row per grid point and trial."""
+    fig = _FIG_STREAM[exp]
 
-    def task(ni, n, t):
+    def task(i, p, t):
         try:
-            prob = gen_unconstrained(n, d, sigma, (seed, fig, ni, t, 0))
-            rounds = 1 + math.ceil(math.log(n))
+            prob = p.make((seed, fig, i, t, 0))
             x_ls, sec_exact = _timed(lambda: solve_exact(prob))
-            spec = SketchSpec(kind, m, seed, stream=(fig, ni, t, 1))
+            spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, rounds), reference=x_ls))
-            cl_spec = SketchSpec(kind, rounds * m, seed, stream=(fig, ni, t, 2))
-            x_cl, sec_cl = _timed(lambda: classical_sketch_solve(prob, cl_spec))
+                lambda: ihs_solve(prob, IhsConfig(spec, p.rounds), reference=x_ls))
+            # fig6a sketches the full stacked problem: a block sketch of
+            # rounds * m rows would be nearly exact there, as rounds * m >> n
+            cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
+            cl_m = p.classical_m or p.rounds * p.m
+            cl_spec = SketchSpec(kind, cl_m, seed, stream=(fig, i, t, 2))
+            x_cl, sec_cl = _timed(lambda: classical_sketch_solve(cl_prob, cl_spec))
             return [
-                _row("fig1", t, n, d, "exact", 0, prob, x_ls, x_ls, sec_exact),
-                _row("fig1", t, n, d, "ihs", rounds, prob, report.x, x_ls, sec_ihs,
+                _row(exp, t, p.n, p.d, "exact", 0, prob, x_ls, x_ls, sec_exact),
+                _row(exp, t, p.n, p.d, "ihs", p.rounds, prob, report.x, x_ls, sec_ihs,
                      "" if report.all_converged else "nonconverged"),
-                _row("fig1", t, n, d, "classical", 0, prob, x_cl, x_ls, sec_cl),
+                _row(exp, t, p.n, p.d, "classical", 0, prob, x_cl, x_ls, sec_cl),
             ]
         except IhskitError as exc:
-            return [_fail_row("fig1", t, n, d, "all", exc)]
+            return [_fail_row(exp, t, p.n, p.d, "all", exc)]
 
-    tasks = [
-        (lambda ni=ni, n=n, t=t: task(ni, n, t))
-        for ni, n in enumerate(n_grid) for t in range(trials)
-    ]
-    return _execute(tasks, threads)
+    return _execute(task, points, trials, threads)
+
+
+def _trace(exp, seed, points, trials, kind, step, threads):
+    """One IHS row per iterate, per grid point and trial."""
+    fig = _FIG_STREAM[exp]
+
+    def task(i, p, t):
+        try:
+            prob = p.make((seed, fig, i, t, 0))
+            x_ls = solve_exact(prob)
+            spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
+            report, sec = _timed(lambda: ihs_solve(
+                prob, IhsConfig(spec, p.rounds, step=step), reference=x_ls))
+            converged = [True] + report.round_converged
+            return [_row(exp, t, p.n, p.d, "ihs", it, prob, x, x_ls, sec / p.rounds if it else 0.0,
+                         p.tag if converged[it] else p.tag + ";nonconverged")
+                    for it, x in enumerate(report.iterates)]
+        except IhskitError as exc:
+            return [_fail_row(exp, t, p.n, p.d, "ihs", exc)]
+
+    return _execute(task, points, trials, threads)
+
+
+def _run_fig1(seed, d=10, m_factor=7, n_grid=(100, 400, 1600, 6400), trials=30,
+              sigma=1.0, kind="gaussian", threads=1):
+    m = math.ceil(m_factor * d)
+    points = [_Point(partial(gen_unconstrained, n, d, sigma), n, d, m,
+                     1 + math.ceil(math.log(n))) for n in n_grid]
+    return _compare("fig1", seed, points, trials, kind, threads)
 
 
 def _run_fig2(seed, d=200, n=6000, gammas=(4, 6, 8), rounds=6, trials=10,
               sigma=1.0, kind="gaussian", step="tuned", threads=1):
     # the tuned Gaussian step by default; step="plain" reproduces the
     # paper's plain-IHS traces
-    fig = _FIG_STREAM["fig2"]
-
-    def task(gi, gamma, t):
-        try:
-            prob = gen_unconstrained(n, d, sigma, (seed, fig, gi, t, 0))
-            x_ls = solve_exact(prob)
-            spec = SketchSpec(kind, gamma * d, seed, stream=(fig, gi, t, 1))
-            tic = time.perf_counter()
-            report = ihs_solve(prob, IhsConfig(spec, rounds, step=step), reference=x_ls)
-            per_iter = (time.perf_counter() - tic) / rounds
-            rows = []
-            for it, x in enumerate(report.iterates):
-                flag = f"gamma={gamma}"
-                if it > 0 and not report.round_converged[it - 1]:
-                    flag += ";nonconverged"
-                rows.append(_row("fig2", t, n, d, "ihs", it, prob, x, x_ls,
-                                 per_iter if it else 0.0, flag))
-            return rows
-        except IhskitError as exc:
-            return [_fail_row("fig2", t, n, d, "ihs", exc)]
-
-    tasks = [
-        (lambda gi=gi, g=g, t=t: task(gi, g, t))
-        for gi, g in enumerate(gammas) for t in range(trials)
-    ]
-    return _execute(tasks, threads)
+    points = [_Point(partial(gen_unconstrained, n, d, sigma), n, d, math.ceil(g * d), rounds,
+                     tag=f"gamma={g:g}") for g in gammas]
+    return _trace("fig2", seed, points, trials, kind, step, threads)
 
 
 def _run_fig3(seed, d_grid=(16, 32, 64), n_factor=100, gamma=6, classical_budget=24,
               rounds=None, trials=10, sigma=1.0, kind="gaussian", threads=1):
-    fig = _FIG_STREAM["fig3"]
-
-    def task(di, d, t):
+    points = []
+    for d in d_grid:
         n = n_factor * d
-        m = gamma * d
-        nrounds = rounds if rounds else 1 + math.ceil(math.log2(math.sqrt(n / d)))
-        try:
-            prob = gen_unconstrained(n, d, sigma, (seed, fig, di, t, 0))
-            x_ls, sec_exact = _timed(lambda: solve_exact(prob))
-            spec = SketchSpec(kind, m, seed, stream=(fig, di, t, 1))
-            report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, nrounds), reference=x_ls))
-            cl_spec = SketchSpec(kind, classical_budget * d, seed, stream=(fig, di, t, 2))
-            x_cl, sec_cl = _timed(lambda: classical_sketch_solve(prob, cl_spec))
-            return [
-                _row("fig3", t, n, d, "exact", 0, prob, x_ls, x_ls, sec_exact),
-                _row("fig3", t, n, d, "ihs", nrounds, prob, report.x, x_ls, sec_ihs,
-                     "" if report.all_converged else "nonconverged"),
-                _row("fig3", t, n, d, "classical", 0, prob, x_cl, x_ls, sec_cl),
-            ]
-        except IhskitError as exc:
-            return [_fail_row("fig3", t, n, d, "all", exc)]
-
-    tasks = [
-        (lambda di=di, d=d, t=t: task(di, d, t))
-        for di, d in enumerate(d_grid) for t in range(trials)
-    ]
-    return _execute(tasks, threads)
+        nrounds = rounds or 1 + math.ceil(math.log2(math.sqrt(n / d)))
+        points.append(_Point(partial(gen_unconstrained, n, d, sigma), n, d,
+                             math.ceil(gamma * d), nrounds, classical_budget * d))
+    return _compare("fig3", seed, points, trials, kind, threads)
 
 
 def _run_fig4(seed, d=256, n=8872, s=32, gammas=(2, 5, 25), rounds=6, trials=5,
               sigma=1.0, kind="gaussian", threads=1):
-    fig = _FIG_STREAM["fig4"]
-
-    def task(gi, gamma, t):
-        m = int(math.ceil(gamma * s * math.log(d)))
-        try:
-            prob = gen_sparse(n, d, s, sigma, (seed, fig, gi, t, 0))
-            x_ls = solve_exact(prob)
-            spec = SketchSpec(kind, m, seed, stream=(fig, gi, t, 1))
-            tic = time.perf_counter()
-            report = ihs_solve(prob, IhsConfig(spec, rounds), reference=x_ls)
-            per_iter = (time.perf_counter() - tic) / rounds
-            rows = []
-            for it, x in enumerate(report.iterates):
-                flag = f"gamma={gamma}"
-                if it > 0 and not report.round_converged[it - 1]:
-                    flag += ";nonconverged"
-                rows.append(_row("fig4", t, n, d, "ihs", it, prob, x, x_ls,
-                                 per_iter if it else 0.0, flag))
-            return rows
-        except IhskitError as exc:
-            return [_fail_row("fig4", t, n, d, "ihs", exc)]
-
-    tasks = [
-        (lambda gi=gi, g=g, t=t: task(gi, g, t))
-        for gi, g in enumerate(gammas) for t in range(trials)
-    ]
-    return _execute(tasks, threads)
+    points = [_Point(partial(gen_sparse, n, d, s, sigma), n, d, math.ceil(g * s * math.log(d)),
+                     rounds, tag=f"gamma={g:g}") for g in gammas]
+    return _trace("fig4", seed, points, trials, kind, "plain", threads)
 
 
 def _run_fig5(seed, d_grid=(32, 64, 128), gamma=4, rounds=4, trials=10,
               sigma=1.0, kind="gaussian", threads=1):
-    fig = _FIG_STREAM["fig5"]
-
-    def task(di, d, t):
+    points = []
+    for d in d_grid:
         s = math.ceil(2.0 * math.sqrt(d))
         width_sq = s * math.log(math.e * d / s)
         n = int(round(100.0 * width_sq))
-        m = int(math.ceil(gamma * width_sq))
-        try:
-            prob = gen_sparse(n, d, s, sigma, (seed, fig, di, t, 0))
-            x_ls, sec_exact = _timed(lambda: solve_exact(prob))
-            spec = SketchSpec(kind, m, seed, stream=(fig, di, t, 1))
-            report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, rounds), reference=x_ls))
-            cl_spec = SketchSpec(kind, rounds * m, seed, stream=(fig, di, t, 2))
-            x_cl, sec_cl = _timed(lambda: classical_sketch_solve(prob, cl_spec))
-            return [
-                _row("fig5", t, n, d, "exact", 0, prob, x_ls, x_ls, sec_exact),
-                _row("fig5", t, n, d, "ihs", rounds, prob, report.x, x_ls, sec_ihs,
-                     "" if report.all_converged else "nonconverged"),
-                _row("fig5", t, n, d, "classical", 0, prob, x_cl, x_ls, sec_cl),
-            ]
-        except IhskitError as exc:
-            return [_fail_row("fig5", t, n, d, "all", exc)]
-
-    tasks = [
-        (lambda di=di, d=d, t=t: task(di, d, t))
-        for di, d in enumerate(d_grid) for t in range(trials)
-    ]
-    return _execute(tasks, threads)
+        m = math.ceil(gamma * width_sq)
+        points.append(_Point(partial(gen_sparse, n, d, s, sigma), n, d, m, rounds))
+    return _compare("fig5", seed, points, trials, kind, threads)
 
 
 def _run_fig6a(seed, d1=20, d2=20, r=2, m=60, n_grid=(40, 80), rounds=None, trials=5,
                sigma=0.25, kind="gaussian", threads=1):
-    fig = _FIG_STREAM["fig6a"]
-    d_amb = d1 * d2
-
-    def task(ni, n, t):
-        nrounds = rounds if rounds else 1 + math.ceil(math.log(n))
-        try:
-            prob = gen_lowrank(n, d1, d2, r, sigma, (seed, fig, ni, t, 0))
-            x_ls, sec_exact = _timed(lambda: solve_exact(prob))
-            spec = SketchSpec(kind, m, seed, stream=(fig, ni, t, 1))
-            report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, nrounds), reference=x_ls))
-            # naive sketch with the same total row budget, applied to the
-            # full stacked problem (a block sketch of N*m rows would be
-            # nearly exact here since N*m >> n)
-            flat = replace(prob, sketch_blocks=1)
-            cl_spec = SketchSpec(kind, nrounds * m, seed, stream=(fig, ni, t, 2))
-            x_cl, sec_cl = _timed(lambda: classical_sketch_solve(flat, cl_spec))
-            return [
-                _row("fig6a", t, n, d_amb, "exact", 0, prob, x_ls, x_ls, sec_exact),
-                _row("fig6a", t, n, d_amb, "ihs", nrounds, prob, report.x, x_ls, sec_ihs,
-                     "" if report.all_converged else "nonconverged"),
-                _row("fig6a", t, n, d_amb, "classical", 0, prob, x_cl, x_ls, sec_cl),
-            ]
-        except IhskitError as exc:
-            return [_fail_row("fig6a", t, n, d_amb, "all", exc)]
-
-    tasks = [
-        (lambda ni=ni, n=n, t=t: task(ni, n, t))
-        for ni, n in enumerate(n_grid) for t in range(trials)
-    ]
-    return _execute(tasks, threads)
+    points = [_Point(partial(gen_lowrank, n, d1, d2, r, sigma), n, d1 * d2, m,
+                     rounds or 1 + math.ceil(math.log(n)), flat_classical=True) for n in n_grid]
+    return _compare("fig6a", seed, points, trials, kind, threads)
 
 
 _RUNNERS = {
@@ -425,15 +358,59 @@ FULL_SCALE_OVERRIDES = {
 }
 
 
+# CLI flag -> (runner keyword taking a scalar, runner keyword taking a
+# grid); a runner accepts the flag through whichever its signature has
+FLAG_KEYWORDS = {
+    "trials": ("trials", None),
+    "sigma": ("sigma", None),
+    "kind": ("kind", None),
+    "rounds": ("rounds", None),
+    "gamma": ("gamma", "gammas"),
+    "d": ("d", "d_grid"),
+    "n": ("n", "n_grid"),
+    "m": ("m", None),
+}
+
+
+def _runner(exp_id: str):
+    if exp_id not in _RUNNERS:
+        raise ValueError(f"unknown experiment {exp_id!r}; valid ids: {', '.join(EXPERIMENT_IDS)}")
+    return _RUNNERS[exp_id]
+
+
+def flag_overrides(exp_id: str, flags) -> dict:
+    """Runner keyword arguments for CLI flag values.
+
+    ``flags`` maps :data:`FLAG_KEYWORDS` names to a value, a tuple of
+    values (repeatable flag) or ``None``/``()`` (not given). Raises
+    ``ValueError`` for an unknown id, a flag the runner has no keyword
+    for, or several values for a scalar keyword.
+    """
+    params = inspect.signature(_runner(exp_id)).parameters
+    out = {}
+    for flag, value in flags.items():
+        values = value if isinstance(value, tuple) else (value,)
+        if value is None or not values:
+            continue
+        scalar, grid = FLAG_KEYWORDS[flag]
+        if grid in params:
+            out[grid] = values
+        elif scalar not in params:
+            raise ValueError(f"--{flag} does not apply to {exp_id}")
+        elif len(values) != 1:
+            raise ValueError(f"{exp_id} takes a single --{flag}")
+        else:
+            out[scalar] = values[0]
+    return out
+
+
 def run_experiment(exp_id: str, seed: int, out_path=None, threads: int = 1, **overrides):
     """Run one figure-style experiment; optionally write the CSV.
 
     Returns the row list. ``overrides`` are the runner keyword
     arguments (grids, trial counts, sketch kind, ...).
     """
-    if exp_id not in _RUNNERS:
-        raise ValueError(f"unknown experiment {exp_id!r}; valid ids: {', '.join(EXPERIMENT_IDS)}")
-    rows = _RUNNERS[exp_id](seed, threads=threads, **overrides)
+    rows = _runner(exp_id)(seed, threads=threads, **overrides)
     if out_path is not None:
         write_rows(rows, out_path)
     return rows
@@ -447,21 +424,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows(rows: Sequence[ExperimentRow], path) -> None:
-    """Write rows as CSV atomically (temp file + rename)."""
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, without newline translation."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                rec = asdict(row)
-                writer.writerow([_fmt(rec[k]) for k in (
-                    "experiment", "trial", "n", "d", "method", "iteration",
-                    "err_ls_semi", "err_truth_semi", "err_truth_l2", "seconds", "flag")])
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -469,26 +440,24 @@ def write_rows(rows: Sequence[ExperimentRow], path) -> None:
         raise
 
 
+def write_rows(rows: Sequence[ExperimentRow], path) -> None:
+    """Write rows as CSV atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([_fmt(v) for v in astuple(row)] for row in rows)
+    write_text_atomic(path, buf.getvalue())
+
+
 def read_rows(path) -> List[ExperimentRow]:
     """Read back a CSV written by :func:`write_rows`."""
-    rows: List[ExperimentRow] = []
+    def opt(text):
+        return float(text) if text else None
+
+    parse = (str, int, int, int, str, int, opt, opt, opt, float, str)  # per CSV_HEADER column
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(ExperimentRow(
-                experiment=rec["experiment"],
-                trial=int(rec["trial"]),
-                n=int(rec["n"]),
-                d=int(rec["d"]),
-                method=rec["method"],
-                iteration=int(rec["iter"]),
-                err_ls_semi=float(rec["err_ls_semi"]) if rec["err_ls_semi"] else None,
-                err_truth_semi=float(rec["err_truth_semi"]) if rec["err_truth_semi"] else None,
-                err_truth_l2=float(rec["err_truth_l2"]) if rec["err_truth_l2"] else None,
-                seconds=float(rec["seconds"]),
-                flag=rec["flag"],
-            ))
-    return rows
+        return [ExperimentRow(*(f(rec[k]) for f, k in zip(parse, CSV_HEADER)))
+                for rec in csv.DictReader(fh)]
 
 
 def summarize(rows: Sequence[ExperimentRow]) -> str:
@@ -497,15 +466,13 @@ def summarize(rows: Sequence[ExperimentRow]) -> str:
     for row in rows:
         if row.err_truth_semi is None:
             continue
-        finals.setdefault(row.method, {}).setdefault(row.trial, (0, None))
-        it, _ = finals[row.method][row.trial]
-        if row.iteration >= it:
-            finals[row.method][row.trial] = (row.iteration, row.err_truth_semi)
+        by_trial = finals.setdefault(row.method, {})
+        if row.iteration >= by_trial.get(row.trial, (0, None))[0]:
+            by_trial[row.trial] = (row.iteration, row.err_truth_semi)
     parts = []
     for method in sorted(finals):
-        vals = [v for _, v in finals[method].values() if v is not None]
-        if vals:
-            parts.append(f"{method}: mean err_truth={np.mean(vals):.4g} (trials={len(vals)})")
+        vals = [v for _, v in finals[method].values()]
+        parts.append(f"{method}: mean err_truth={np.mean(vals):.4g} (trials={len(vals)})")
     failed = sum(1 for row in rows if row.flag.startswith("failed"))
     if failed:
         parts.append(f"failed rows={failed}")
