@@ -44,7 +44,6 @@ from .sketch import (
     SketchOperator,
     SketchSpec,
     alpha_balance,
-    apply_sketch,
     build_sketch,
     explicit_sketch,
     identity_sketch,
@@ -69,7 +68,7 @@ __all__ = [
     "hessian_sketch_solve", "ihs_solve",
     "recommend_iterations", "recommend_sketch_size", "solve_exact",
     "SvdResult", "estimate_opnorm_sq", "fwht_normalized", "solve_psd", "thin_svd",
-    "SketchOperator", "SketchSpec", "alpha_balance", "apply_sketch", "build_sketch",
+    "SketchOperator", "SketchSpec", "alpha_balance", "build_sketch",
     "explicit_sketch", "identity_sketch", "leverage_scores", "verify_projection_condition",
     "SketchedQuadratic", "SolverControls", "SubsolveResult",
     "solve_constrained", "solve_unconstrained",

@@ -325,7 +325,6 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                              p["seed"])
     ctl = _controls(p["inner_tol"], p["inner_max_iter"], p["no_acceleration"])
     method = p["method"]
-    ref = _load_vector(p["reference"]) if p["reference"] else None
     report = None
     converged = True
     if method == "exact":
@@ -339,6 +338,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         elif method == "hessian":
             x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
         else:
+            ref = _load_vector(p["reference"]) if p["reference"] else None
             try:
                 cfg = IhsConfig(spec, p["rounds"], rho=p["rho"], inner=ctl,
                                 collect_certificates=p["certificates"])
@@ -349,7 +349,8 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             converged = report.all_converged
 
     final_ref_err = None
-    if ref is not None:
+    if p["reference"]:
+        ref = _load_vector(p["reference"])
         final_ref_err = problem.seminorm(x - ref)
         click.echo(f"error to reference (prediction seminorm): {final_ref_err:.10e}")
 

@@ -404,10 +404,15 @@ def recommend_sketch_size(
     sparsity hint s, and ``r (d1 + d2)`` for nuclear balls with rank
     hint r.
 
-    At the defaults an unconstrained problem gets m = 6d. A Gaussian
-    sketch of that size contracts at about 0.573 per round under the
-    plain update, above rho = 1/2; the tuned step
+    The formula sets the scale of m; it does not guarantee the rate
+    rho. At the defaults an unconstrained problem gets m = 6d. A
+    Gaussian sketch of that size contracts at about 0.573 per round
+    under the plain update, above rho = 1/2; the tuned step
     (``IhsConfig(step="tuned")``) contracts at about 0.41, within it.
+    For l1 balls the gap can be wider: a ROS sketch with d = 128,
+    s = 16 gets m = 296, and on 4500 x 128 problems with sigma = 1 it
+    took from 23 to 41 rounds to reach a relative error of 1e-8 over
+    ten seeds, about 0.65 per round on the slowest.
     """
     fam = _FAMILY_ALIASES.get(family, family)
     if fam not in _WIDTH_FAMILIES:

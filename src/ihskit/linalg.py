@@ -2,8 +2,8 @@
 
 Row-major float64 arrays throughout. Provides the normalized fast
 Walsh-Hadamard transform, a thin SVD wrapper, a positive-definite
-solver, and a power-iteration operator-norm estimate with a fixed
-safety inflation.
+solver that names the failing pivot, and a power-iteration estimate of
+``lambda_max(B^T B)`` for when only the factor B is at hand.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from .errors import (
 )
 from .seeding import derive_rng
 
-# Multiplier applied to the power-iteration Rayleigh estimate so the
-# result is a usable Lipschitz upper bound for gradient steps.
+# Inflation of lambda_max(B^T B) before use as a gradient Lipschitz
+# constant: it turns the power-iteration Rayleigh estimate into a safe
+# upper bound, and the inner solver applies it to the exact eigenvalue
+# as well, so the step 1/L does not depend on how lambda_max was found.
 OPNORM_SAFETY = 1.05
 
 
@@ -100,18 +102,12 @@ def thin_svd(a) -> SvdResult:
         raise SvdConvergenceError(f"SVD failed to converge: {exc}", attempts=2) from exc
 
 
-def _first_bad_pivot(g: np.ndarray) -> int:
-    """Index of the first leading minor whose Cholesky pivot is non-positive."""
-    for k in range(1, g.shape[0] + 1):
-        try:
-            np.linalg.cholesky(g[:k, :k])
-        except np.linalg.LinAlgError:
-            return k - 1
-    return g.shape[0] - 1
-
-
 def solve_psd(g, b) -> np.ndarray:
-    """Solve ``G x = b`` for symmetric positive definite G via Cholesky."""
+    """Solve ``G x = b`` for symmetric positive definite G via Cholesky.
+
+    Raises :class:`SingularMatrixError` carrying the 0-based index of the
+    first non-positive pivot, as LAPACK ``potrf`` reports it.
+    """
     gm = ensure_matrix(g, "G")
     bv = ensure_vector(b, "b")
     if gm.shape[0] != gm.shape[1]:
@@ -121,7 +117,8 @@ def solve_psd(g, b) -> np.ndarray:
     try:
         low = np.linalg.cholesky(gm)
     except np.linalg.LinAlgError as exc:
-        pivot = _first_bad_pivot(gm)
+        info = scipy.linalg.lapack.dpotrf(gm, lower=True)[1]
+        pivot = info - 1 if info > 0 else gm.shape[0] - 1
         raise SingularMatrixError(
             f"matrix is not positive definite (pivot {pivot} <= tolerance)", pivot=pivot
         ) from exc

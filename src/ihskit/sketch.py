@@ -22,6 +22,7 @@ per-block m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -49,6 +50,8 @@ class SketchSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sketch kind {self.kind!r}; expected one of {KINDS}")
+        if not isinstance(self.m, Integral):
+            raise ValueError(f"sketch dimension m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"sketch dimension m must be >= 1, got {self.m}")
 
@@ -185,11 +188,6 @@ def build_sketch(spec: SketchSpec, n: int, leverage_p=None, blocks: int = 1) -> 
         op.probs = p
         op.indices = rng.choice(nb, size=spec.m, replace=True, p=p)
     return op
-
-
-def apply_sketch(op: SketchOperator, a) -> np.ndarray:
-    """Functional form of ``op.apply(a)``."""
-    return op.apply(a)
 
 
 def leverage_scores(a) -> np.ndarray:

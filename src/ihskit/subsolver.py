@@ -4,7 +4,9 @@ The objective is ``g(x) = 0.5 ||B x||^2 - <c, x>``. Unconstrained
 problems are solved directly through the normal equations; constrained
 problems by projected gradient, by default with Nesterov momentum that
 restarts whenever the objective fails to decrease, which keeps the
-accepted iterates monotone.
+accepted iterates monotone. The gradient step is 1/L with
+``L = OPNORM_SAFETY * lambda_max(B^T B)``, the top eigenvalue taken
+exactly from the Gram matrix that the iteration forms anyway.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained, project
 from .errors import DimensionError, RankDeficiencyError, SingularMatrixError
-from .linalg import ensure_matrix, ensure_vector, estimate_opnorm_sq, solve_psd
+from .linalg import OPNORM_SAFETY, ensure_matrix, ensure_vector, solve_psd
 
 
 @dataclass
@@ -101,7 +103,7 @@ def solve_constrained(
     ctl = ctl or SolverControls()
     gram = q.gram()
     tol = ctl.resolve_tol(q.c)
-    lip = estimate_opnorm_sq(q.B)
+    lip = OPNORM_SAFETY * float(np.linalg.eigvalsh(gram)[-1])
     if lip <= 0.0:
         lip = 1.0
 

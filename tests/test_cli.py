@@ -158,6 +158,24 @@ class TestExperiment:
         for method in ("exact", "ihs", "classical"):
             assert f"{method}: mean err_truth" in text
 
+    @pytest.mark.parametrize("exp_id, extra, rows", [
+        ("fig2", ["--n", "400", "--gamma", "4", "--gamma", "6"], 3 * 7 * 2),
+        ("fig3", ["--gamma", "4"], 3 * 3),
+    ])
+    def test_gamma_override(self, tmp_path, capsys, exp_id, extra, rows):
+        # --gamma parses as a float; the sketch size must still be an integer
+        out = tmp_path / f"{exp_id}.csv"
+        code = run(["experiment", "--id", exp_id, "--out", out, "--seed", "3",
+                    "--trials", "3", "--d", "16", "--threads", "1"] + extra)
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + rows
+        assert not any("failed" in line for line in lines)
+        if exp_id == "fig2":
+            assert {line.split(",")[-1].split(";")[0] for line in lines[1:]} == {
+                "gamma=4", "gamma=6"}
+        capsys.readouterr()
+
     def test_unknown_id_lists_valid(self, tmp_path, capsys):
         code = run(["experiment", "--id", "fig9", "--out", tmp_path / "x.csv", "--seed", "1"])
         assert code == 1
@@ -165,10 +183,14 @@ class TestExperiment:
         assert "fig1" in err and "fig6a" in err
 
     def test_inapplicable_override_rejected(self, tmp_path, capsys):
-        code = run(["experiment", "--id", "fig1", "--out", tmp_path / "x.csv",
-                    "--seed", "1", "--gamma", "4"])
-        assert code == 1
-        capsys.readouterr()
+        for exp_id, extra in [("fig1", ["--gamma", "4"]), ("fig1", ["--rounds", "3"]),
+                              ("fig6a", ["--d", "4"]), ("fig2", ["--m", "30"]),
+                              ("fig3", ["--gamma", "4", "--gamma", "5"])]:
+            code = run(["experiment", "--id", exp_id, "--out", tmp_path / "x.csv",
+                        "--seed", "1"] + extra)
+            assert code == 1, (exp_id, extra)
+            assert "--" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestDiagnose:

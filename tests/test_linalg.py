@@ -86,10 +86,12 @@ class TestSolvePsd:
         assert np.linalg.norm(g @ x - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_non_pd_reports_pivot(self):
-        g = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(SingularMatrixError) as exc:
-            solve_psd(g, np.ones(3))
-        assert exc.value.pivot == 1
+        cases = [(np.diag([1.0, -1.0, 2.0]), 1), (np.diag([1.0, 2.0, 0.0]), 2),
+                 (np.ones((4, 4)), 1)]
+        for g, pivot in cases:
+            with pytest.raises(SingularMatrixError) as exc:
+                solve_psd(g, np.ones(g.shape[0]))
+            assert exc.value.pivot == pivot
 
 
 class TestOpnormEstimate:

@@ -6,7 +6,6 @@ from ihskit.sketch import (
     KINDS,
     SketchSpec,
     alpha_balance,
-    apply_sketch,
     build_sketch,
     explicit_sketch,
     identity_sketch,
@@ -22,6 +21,10 @@ def test_spec_validation():
         SketchSpec("gaussian", 0, 1)
     with pytest.raises(ValueError):
         SketchSpec("fourier", 4, 1)
+    for m in (4.5, 60.0):  # a float m would reach the Gaussian draw as a shape
+        with pytest.raises(ValueError, match="integer"):
+            SketchSpec("gaussian", m, 1)
+    assert SketchSpec("gaussian", np.int64(4), 1).m == 4
 
 
 def test_determinism_bit_identical():
@@ -206,4 +209,4 @@ def test_explicit_sketch_wraps_matrix():
     s = rng.standard_normal((3, 5))
     op = explicit_sketch(s)
     a = rng.standard_normal((5, 2))
-    assert np.allclose(apply_sketch(op, a), s @ a)
+    assert np.allclose(op.apply(a), s @ a)
