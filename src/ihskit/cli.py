@@ -328,7 +328,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
     report = None
     converged = True
     if method == "exact":
-        x = solve_exact(problem, ctl)
+        x, converged = solve_exact(problem, ctl, full_result=True)
     else:
         if p["m"] is None:
             p["m"] = _recommended_m(problem, p)

@@ -461,18 +461,25 @@ def read_rows(path) -> List[ExperimentRow]:
 
 
 def summarize(rows: Sequence[ExperimentRow]) -> str:
-    """One summary line: mean final err_truth_semi per method."""
+    """One summary line: mean final err_truth_semi per method, over every
+    grid point (n, d and the flag's tag) and trial."""
     finals = {}
     for row in rows:
         if row.err_truth_semi is None:
             continue
-        by_trial = finals.setdefault(row.method, {})
-        if row.iteration >= by_trial.get(row.trial, (0, None))[0]:
-            by_trial[row.trial] = (row.iteration, row.err_truth_semi)
+        point = (row.n, row.d, row.flag.replace("nonconverged", "").rstrip(";"))
+        by_run = finals.setdefault(row.method, {})
+        key = (point, row.trial)
+        if row.iteration >= by_run.get(key, (0, None))[0]:
+            by_run[key] = (row.iteration, row.err_truth_semi)
     parts = []
     for method in sorted(finals):
-        vals = [v for _, v in finals[method].values()]
-        parts.append(f"{method}: mean err_truth={np.mean(vals):.4g} (trials={len(vals)})")
+        runs = finals[method]
+        vals = [v for _, v in runs.values()]
+        points = len({point for point, _ in runs})
+        trials = len({trial for _, trial in runs})
+        parts.append(f"{method}: mean err_truth={np.mean(vals):.4g} "
+                     f"(trials={trials}, points={points})")
     failed = sum(1 for row in rows if row.flag.startswith("failed"))
     if failed:
         parts.append(f"failed rows={failed}")

@@ -180,22 +180,32 @@ def _leverage_for(problem: LsProblem, spec: SketchSpec):
     return leverage_scores(problem.A)
 
 
-def solve_exact(problem: LsProblem, ctl: Optional[SolverControls] = None) -> np.ndarray:
+def solve_exact(
+    problem: LsProblem,
+    ctl: Optional[SolverControls] = None,
+    full_result: bool = False,
+):
     """Reference solution of ``min_C (1/2n) ||A x - y||^2``.
 
     Unconstrained problems go through the normal equations; otherwise
     the projected-gradient subsolver runs on ``B = A / sqrt(n)``,
-    ``c = A^T y / n``.
+    ``c = A^T y / n``. With ``full_result`` the return value is
+    ``(x, converged)``, where ``converged`` is false when the subsolver
+    stopped at its iteration cap.
     """
     n = problem.n
     c = problem.A.T @ problem.y / n
     if isinstance(problem.set, Unconstrained):
         try:
-            return solve_psd(problem.A.T @ problem.A / n, c)
+            x = solve_psd(problem.A.T @ problem.A / n, c)
         except Exception as exc:
             raise RankDeficiencyError(f"A^T A is singular: {exc}") from exc
-    q = SketchedQuadratic(problem.A / math.sqrt(n), c, problem.set)
-    return solve_constrained(q, x0=None, ctl=ctl).x
+        converged = True
+    else:
+        q = SketchedQuadratic(problem.A / math.sqrt(n), c, problem.set)
+        res = solve_constrained(q, x0=None, ctl=ctl)
+        x, converged = res.x, res.converged
+    return (x, converged) if full_result else x
 
 
 def _minimize(q: SketchedQuadratic, x0, ctl) -> Tuple[np.ndarray, bool]:
@@ -370,7 +380,8 @@ def ihs_solve(
             x = solve_psd(gram, c)
             converged = True
         else:
-            res = solve_constrained(SketchedQuadratic(b, c, cset), x0=x, ctl=config.inner)
+            q = SketchedQuadratic(b, c, cset, G=gram)
+            res = solve_constrained(q, x0=x, ctl=config.inner)
             x, converged = res.x, res.converged
         seconds.append(time.perf_counter() - tic)
         flags.append(converged)

@@ -55,13 +55,33 @@ class SvdResult(NamedTuple):
     Vt: np.ndarray
 
 
+# Largest Hadamard factor applied as one dense product. Sylvester's
+# H_{2^k} is the Kronecker product of smaller Sylvester matrices, so the
+# transform runs as a few batched BLAS products with these factors.
+HADAMARD_LEAF = 64
+_LEAF_BITS = HADAMARD_LEAF.bit_length() - 1
+_FACTORS = {f: scipy.linalg.hadamard(f) / np.sqrt(f)
+            for f in (1 << k for k in range(_LEAF_BITS + 1))}
+
+
+def _factor_sizes(n: int) -> list:
+    """Balanced split of n = 2^k into powers of two of at most the leaf."""
+    k = n.bit_length() - 1
+    parts = max(1, -(-k // _LEAF_BITS))
+    return [1 << (k // parts + (i < k % parts)) for i in range(parts)]
+
+
 def fwht_normalized(x) -> np.ndarray:
     """Apply the orthonormal Walsh-Hadamard transform along axis 0.
 
     ``x`` may be a vector or a matrix whose columns are transformed
     independently; the length along axis 0 must be a power of two.
     The transform matrix has entries +-1/sqrt(n), so the map is an
-    involution and preserves Euclidean norms.
+    involution and preserves Euclidean norms. It is computed as
+    ``H_{f1} (x) H_{f2} (x) ...`` with orthonormal Hadamard factors of
+    at most ``HADAMARD_LEAF`` rows: each factor is one batched matrix
+    product over the input viewed as ``(pre, f, rest)``. The input is
+    never modified.
     """
     a = np.asarray(x, dtype=np.float64)
     squeeze = a.ndim == 1
@@ -69,20 +89,14 @@ def fwht_normalized(x) -> np.ndarray:
         a = a[:, None]
     if a.ndim != 2:
         raise DimensionError(f"input must be 1-D or 2-D, got ndim={a.ndim}")
-    n = a.shape[0]
+    n, cols = a.shape
     if n == 0 or n & (n - 1):
         raise PowerOfTwoError(f"transform length must be a power of two, got {n}")
-    out = a.copy()
-    h = 1
-    while h < n:
-        out = out.reshape(n // (2 * h), 2, h, -1)
-        top = out[:, 0] + out[:, 1]
-        bot = out[:, 0] - out[:, 1]
-        out[:, 0] = top
-        out[:, 1] = bot
-        out = out.reshape(n, -1)
-        h *= 2
-    out *= 1.0 / np.sqrt(n)
+    out, pre = a, 1
+    for f in _factor_sizes(n):
+        out = np.matmul(_FACTORS[f], out.reshape(pre, f, n // (pre * f) * cols))
+        pre *= f
+    out = out.reshape(n, cols)
     return out[:, 0] if squeeze else out
 
 

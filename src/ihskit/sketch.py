@@ -92,10 +92,11 @@ class SketchOperator:
             return self.matrix @ a
         if self.kind == "ros":
             npad = self.n_pad
-            if npad > a.shape[0]:
-                a = np.vstack([a, np.zeros((npad - a.shape[0], a.shape[1]))])
-            hda = fwht_normalized(self.signs[:, None] * a)
-            return np.sqrt(npad) * hda[self.indices, :]
+            padded = np.zeros((npad, a.shape[1]))
+            np.multiply(self.signs[: a.shape[0], None], a, out=padded[: a.shape[0]])
+            rows = fwht_normalized(padded)[self.indices, :]
+            rows *= np.sqrt(npad)
+            return rows
         # row sampling
         scale = 1.0 / np.sqrt(self.probs[self.indices])
         return scale[:, None] * a[self.indices, :]

@@ -23,19 +23,26 @@ from .linalg import OPNORM_SAFETY, ensure_matrix, ensure_vector, solve_psd
 
 @dataclass
 class SketchedQuadratic:
-    """Data of ``g(x) = 0.5 ||B x||^2 - <c, x>`` minimized over ``set``."""
+    """Data of ``g(x) = 0.5 ||B x||^2 - <c, x>`` minimized over ``set``.
+
+    ``G`` is the Gram matrix ``B^T B``. A caller that has formed it
+    already passes it in; otherwise it is formed once at construction.
+    """
 
     B: np.ndarray
     c: np.ndarray
     set: ConstraintSet = field(default_factory=Unconstrained)
+    G: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.B = ensure_matrix(self.B, "B")
         self.c = ensure_vector(self.c, "c")
-        if self.B.shape[1] != self.c.shape[0]:
-            raise DimensionError(
-                f"B has {self.B.shape[1]} columns but c has length {self.c.shape[0]}"
-            )
+        d = self.B.shape[1]
+        if d != self.c.shape[0]:
+            raise DimensionError(f"B has {d} columns but c has length {self.c.shape[0]}")
+        self.G = self.gram() if self.G is None else ensure_matrix(self.G, "G")
+        if self.G.shape != (d, d):
+            raise DimensionError(f"G is {self.G.shape}, expected ({d}, {d})")
 
     def gram(self) -> np.ndarray:
         return self.B.T @ self.B
@@ -81,7 +88,7 @@ class SubsolveResult:
 def solve_unconstrained(q: SketchedQuadratic) -> np.ndarray:
     """Exact minimizer ``(B^T B)^{-1} c`` of the unconstrained quadratic."""
     try:
-        return solve_psd(q.gram(), q.c)
+        return solve_psd(q.G, q.c)
     except SingularMatrixError as exc:
         raise RankDeficiencyError(
             "sketched Gram matrix B^T B is singular; increase the sketch size m "
@@ -101,7 +108,7 @@ def solve_constrained(
     ``L ||x - P_C(x - grad g(x)/L)||`` drops below the tolerance.
     """
     ctl = ctl or SolverControls()
-    gram = q.gram()
+    gram = q.G
     tol = ctl.resolve_tol(q.c)
     lip = OPNORM_SAFETY * float(np.linalg.eigvalsh(gram)[-1])
     if lip <= 0.0:

@@ -84,6 +84,16 @@ class TestSolve:
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
 
+    def test_exact_nonconvergence_exit_code(self, tmp_path, capsys):
+        prefix = str(tmp_path / "p")
+        code = run(["solve", "--method", "exact", "--generate", "sparse", "--n", "2000",
+                    "--d", "64", "--s", "8", "--seed", "1", "--inner-max-iter", "3",
+                    "--out", prefix])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        with open(prefix + "_report.json") as fh:
+            assert json.load(fh)["converged"] is False
+
     def test_malformed_matrix_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,oops\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,16 @@ class TestRunners:
             assert a.err_truth_semi == b.err_truth_semi
             assert (a.trial, a.method, a.iteration) == (b.trial, b.method, b.iteration)
 
+    def test_threaded_ros_rows_identical_to_sequential(self):
+        # the Hadamard transform runs as BLAS products inside worker threads
+        r1 = run_experiment("fig1", seed=8, d=4, n_grid=(100, 300), trials=2, kind="ros",
+                            threads=1)
+        r4 = run_experiment("fig1", seed=8, d=4, n_grid=(100, 300), trials=2, kind="ros",
+                            threads=4)
+        assert len(r1) == len(r4) == 12
+        for a, b in zip(r1, r4):
+            assert replace(a, seconds=0.0) == replace(b, seconds=0.0)
+
     def test_deterministic_given_seed(self):
         r1 = run_experiment("fig1", seed=7, d=5, n_grid=(60,), trials=2)
         r2 = run_experiment("fig1", seed=7, d=5, n_grid=(60,), trials=2)
@@ -164,6 +176,13 @@ class TestCsv:
         line = summarize(rows)
         for method in ("exact", "ihs", "classical"):
             assert method in line
+
+    def test_summarize_keeps_every_grid_point(self):
+        rows = run_experiment("fig2", seed=5, d=8, n=200, gammas=(4, 6), rounds=2, trials=1)
+        finals = [r.err_truth_semi for r in rows if r.iteration == 2]
+        assert len(finals) == 2 and finals[0] != finals[1]
+        line = summarize(rows)
+        assert f"mean err_truth={np.mean(finals):.4g} (trials=1, points=2)" in line
 
 
 def test_fig4_and_fig5_smoke():

@@ -21,14 +21,17 @@ class TestFwht:
         out = fwht_normalized([1.0, 0.0])
         assert out == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 32, 256])
+    # 2^7 splits into uneven Kronecker factors 16 x 8, 2^13 into three
+    @pytest.mark.parametrize("n", [2, 4, 8, 32, 128, 256, 8192])
     def test_matches_naive_hadamard(self, n):
-        # oracle: explicit (unnormalized) Sylvester Hadamard matrix
-        h = scipy.linalg.hadamard(n) / np.sqrt(n)
+        # oracle: explicit (unnormalized) Sylvester Hadamard matrix, held
+        # as int8 and applied in row blocks so that n = 2^13 stays small
+        h = scipy.linalg.hadamard(n, dtype=np.int8)
         v = rng.standard_normal(n)
-        assert np.max(np.abs(fwht_normalized(v) - h @ v)) <= 1e-10
+        hv = np.concatenate([rows @ v for rows in np.array_split(h, max(1, n // 512))])
+        assert np.max(np.abs(fwht_normalized(v) - hv / np.sqrt(n))) <= 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024, 8192])
     def test_involution_and_isometry(self, n):
         v = rng.standard_normal(n)
         w = fwht_normalized(v)
@@ -40,6 +43,16 @@ class TestFwht:
         out = fwht_normalized(a)
         for j in range(3):
             assert np.allclose(out[:, j], fwht_normalized(a[:, j]), atol=1e-14)
+
+    def test_input_unmodified_and_strided_input_accepted(self):
+        a = rng.standard_normal((256, 6))
+        before = a.copy()
+        out = fwht_normalized(a[:, ::2])
+        assert np.array_equal(a, before)
+        assert np.array_equal(out, fwht_normalized(np.ascontiguousarray(a[:, ::2])))
+        v = a[::2, 1]
+        assert np.array_equal(fwht_normalized(v), fwht_normalized(v.copy()))
+        assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 100])
     def test_rejects_non_power_of_two(self, n):

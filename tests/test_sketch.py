@@ -87,7 +87,8 @@ def test_apply_identity_override():
     assert np.allclose(s.T @ s / scaled.m, np.eye(7), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
+# 200 and 1000 rows pad to 256 and 1024, where the transform has two factors
+@pytest.mark.parametrize("n", [4, 8, 16, 200, 1000])
 @pytest.mark.parametrize("d", [1, 3])
 def test_ros_fast_path_equals_materialized(n, d):
     op = build_sketch(SketchSpec("ros", 5, 31, stream=(n, d)), n)
