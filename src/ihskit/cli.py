@@ -296,7 +296,8 @@ def _recommended_m(problem, p) -> int:
               help="Width constant used when --m is derived automatically.")
 @click.option("--seed", type=int, default=None, help="Master seed (required when random).")
 @click.option("--inner-tol", type=float, default=None,
-              help="Gradient-mapping tolerance of the inner solver.")
+              help="Gradient-mapping tolerance of the inner solver; for ihs, the floor "
+                   "under each constrained round's tolerance, which tracks the outer step.")
 @click.option("--inner-max-iter", type=int, default=5000, show_default=True,
               help="Iteration cap of the inner solver.")
 @click.option("--no-acceleration", is_flag=True, help="Disable inner-solver momentum.")
@@ -324,6 +325,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                              p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
                              p["seed"])
     ctl = _controls(p["inner_tol"], p["inner_max_iter"], p["no_acceleration"])
+    ref = _load_vector(p["reference"]) if p["reference"] else None
     method = p["method"]
     report = None
     converged = True
@@ -338,7 +340,6 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         elif method == "hessian":
             x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
         else:
-            ref = _load_vector(p["reference"]) if p["reference"] else None
             try:
                 cfg = IhsConfig(spec, p["rounds"], rho=p["rho"], inner=ctl,
                                 collect_certificates=p["certificates"])
@@ -349,8 +350,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             converged = report.all_converged
 
     final_ref_err = None
-    if p["reference"]:
-        ref = _load_vector(p["reference"])
+    if ref is not None:
         final_ref_err = problem.seminorm(x - ref)
         click.echo(f"error to reference (prediction seminorm): {final_ref_err:.10e}")
 
@@ -369,6 +369,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         if report is not None:
             rep["rounds"] = len(report.per_round_seconds)
             rep["round_converged"] = report.round_converged
+            rep["inner_iterations"] = report.inner_iterations
             if report.errors_to_ls is not None:
                 rep["errors_to_reference"] = report.errors_to_ls
             if report.errors_to_truth is not None:
@@ -387,7 +388,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                       else format(report.errors_to_truth[it], ".17g"))
                 lines.append(f"{it},{e1},{e2}")
             _atomic_write(prefix + "_trace.csv", "\n".join(lines) + "\n")
-    elif not p["reference"]:
+    elif ref is None:
         click.echo(_fmt_vec(x), nl=False)
 
     if not converged:

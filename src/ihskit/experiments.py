@@ -12,7 +12,9 @@ d, sketch size, rounds) and hands them to one of two shapes:
 Point i, trial t draws its problem from the stream ``(seed, fig, i, t,
 0)`` and its IHS and classical sketches from ``(fig, i, t, 1)`` and
 ``(fig, i, t, 2)``. A typed solver error turns the point's rows into one
-``failed:<Error>`` row. Rows have the fixed CSV schema
+``failed:<Error>`` row. IHS runs with ``inner_schedule="fixed"``, solving
+every constrained round to the fixed inner tolerance as the paper's
+analysis assumes. Rows have the fixed CSV schema
 
     experiment,trial,n,d,method,iter,err_ls_semi,err_truth_semi,err_truth_l2,seconds,flag
 
@@ -244,7 +246,8 @@ def _compare(exp, seed, points, trials, kind, threads):
             x_ls, sec_exact = _timed(lambda: solve_exact(prob))
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, p.rounds), reference=x_ls))
+                lambda: ihs_solve(prob, IhsConfig(spec, p.rounds, inner_schedule="fixed"),
+                                  reference=x_ls))
             # fig6a sketches the full stacked problem: a block sketch of
             # rounds * m rows would be nearly exact there, as rounds * m >> n
             cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
@@ -273,7 +276,8 @@ def _trace(exp, seed, points, trials, kind, step, threads):
             x_ls = solve_exact(prob)
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec = _timed(lambda: ihs_solve(
-                prob, IhsConfig(spec, p.rounds, step=step), reference=x_ls))
+                prob, IhsConfig(spec, p.rounds, step=step, inner_schedule="fixed"),
+                reference=x_ls))
             converged = [True] + report.round_converged
             return [_row(exp, t, p.n, p.d, "ihs", it, prob, x, x_ls, sec / p.rounds if it else 0.0,
                          p.tag if converged[it] else p.tag + ";nonconverged")

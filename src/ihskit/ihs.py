@@ -39,20 +39,49 @@ the pair ``(Z1, Z2)``: the smallest restricted eigenvalue of
 ``S^T S / m`` on the range of A, and the deviation of the same matrix
 from ``mu I`` between the current error direction and that range. Then
 ``||A e_{t+1}|| <= (Z2 / Z1) ||A e_t||`` holds exactly for either step.
+
+Constrained rounds have no closed form; projected gradient solves them,
+warm-started at x_t. ``IhsConfig.inner_schedule`` sets its tolerance:
+
+* ``"tracking"`` (default) - round t >= 2 stops at
+  ``max(floor, TRACKING_FACTOR * sqrt(lambda_max(G_t)) * ||x_{t-1} -
+  x_{t-2}||)``, where the floor is the fixed tolerance below. The inner
+  accuracy only keeps pace with the outer progress (Schmidt, Le Roux &
+  Bach, NeurIPS 2011; the inexact subproblems of Pilanci & Wainwright's
+  Newton sketch, SIAM J. Optim. 2017). Round 1 keeps the floor;
+* ``"fixed"`` - every round stops at ``IhsConfig.inner.resolve_tol(c)``,
+  by default ``1e-10 * max(1, ||c||)``. This is the paper's iteration,
+  whose contraction argument assumes exact subproblem solves, and the
+  experiment runners use it.
+
+Tracking also needs fewer rounds. An early-stopped, warm-started solve
+lands short of the exact round minimizer, a damped step toward it, as
+the tuned step is in unconstrained rounds. The damping falls where it
+helps: gradient steps converge last along the small eigenvalues of G,
+where a sketch that underestimates the curvature makes the exact step
+overshoot. On the 16 perfbench ``lowrank_nuclear`` problems of seeds
+902-903 (nuclear ball, 1440 x 144 in 12 blocks, Gaussian m = 72), the
+tracking rounds moved a median 0.78-0.81 of the way to the exact
+minimizer along the lower half of G's spectrum and 0.99 along the upper
+half. The error shrank by a median factor of 0.30-0.32 per round,
+against 0.44-0.46 for exact solves and 0.34 for exact solves damped by
+the best constant of each round (about 0.77). To a relative error of
+1e-8 that took 16-18 rounds, against 24-25 exact and 19 at a constant
+damping of 0.8.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained, ambient_dim, project
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
-from .linalg import ensure_matrix, ensure_vector, solve_psd, thin_svd
+from .linalg import ensure_matrix, ensure_vector, solve_psd, thin_svd, top_eigenvalue
 from .sketch import SketchOperator, SketchSpec, build_sketch, leverage_scores
 from .subsolver import (
     SketchedQuadratic,
@@ -69,6 +98,14 @@ __all__ = [
 ]
 
 STEPS = ("plain", "tuned")
+INNER_SCHEDULES = ("tracking", "fixed")
+
+# Tracking inner tolerance per unit of sqrt(lambda_max(G)) * outer step.
+# On the perfbench problems of seed 902, factors of 0.003, 0.01, 0.03
+# and 0.1 took 23.9, 17.8, 18.8 and 23.3 rounds to a relative error of
+# 1e-8 on lowrank_nuclear, and 13.6, 12.2, 11.0 and 15.6 on lasso_ros.
+# At 0.1 the median round stops after a single inner iteration.
+TRACKING_FACTOR = 0.01
 
 
 @dataclass
@@ -127,8 +164,19 @@ class LsProblem:
 class IhsConfig:
     """Controls for the iterative solver: per-round sketch, round count,
     target contraction (bookkeeping for the recommenders), unconstrained
-    step rule (``"plain"`` or ``"tuned"``, see the module docstring) and
-    inner solver settings."""
+    step rule (``"plain"`` or ``"tuned"``, see the module docstring),
+    inner solver settings and the inner tolerance schedule of
+    constrained rounds.
+
+    ``inner_schedule="tracking"`` (the default) loosens the tolerance of
+    each constrained round after the first to track the outer step,
+    with ``inner.resolve_tol(c)`` as its floor. It gives up the
+    assumption of the paper's contraction argument that every round is
+    solved exactly, so the paper-figure runners pass ``"fixed"``, which
+    solves every round to the floor. Under either schedule
+    ``IhsReport.round_converged`` means that a round met the tolerance
+    it was given.
+    """
 
     spec: SketchSpec
     rounds: int
@@ -137,6 +185,7 @@ class IhsConfig:
     collect_certificates: bool = False
     x0: Optional[np.ndarray] = None
     step: str = "plain"
+    inner_schedule: str = "tracking"
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -145,6 +194,9 @@ class IhsConfig:
             raise ValueError(f"rho must lie in (0, 1/2], got {self.rho}")
         if self.step not in STEPS:
             raise ValueError(f"unknown step {self.step!r}; expected one of {STEPS}")
+        if self.inner_schedule not in INNER_SCHEDULES:
+            raise ValueError(f"unknown inner_schedule {self.inner_schedule!r}; "
+                             f"expected one of {INNER_SCHEDULES}")
 
 
 @dataclass
@@ -152,8 +204,9 @@ class IhsReport:
     """Per-round trace of one iterative solve.
 
     ``iterates`` and the error lists have length rounds + 1 (the leading
-    entry is the feasible starting point); timings, certificates and
-    convergence flags have one entry per round.
+    entry is the feasible starting point); timings, certificates,
+    convergence flags and inner iteration counts (0 for unconstrained
+    rounds) have one entry per round.
     """
 
     iterates: List[np.ndarray]
@@ -162,6 +215,7 @@ class IhsReport:
     per_round_seconds: List[float]
     certificates: Optional[List[Tuple[float, float]]]
     round_converged: List[bool]
+    inner_iterations: List[int] = field(default_factory=list)
 
     @property
     def x(self) -> np.ndarray:
@@ -338,6 +392,10 @@ def ihs_solve(
     ``step="plain"``; the other runners and the CLI run ``"plain"``.
     The certificates are measured against the mu that runs, so the
     bound ``err+ <= (Z2 / Z1) err`` holds for either step.
+
+    ``config.inner_schedule`` sets the inner tolerance of constrained
+    rounds (see the module docstring); unconstrained rounds are exact
+    under either schedule.
     """
     a, y, cset = problem.A, problem.y, problem.set
     n = problem.n
@@ -362,6 +420,7 @@ def ihs_solve(
     seconds: List[float] = []
     certs: Optional[List[Tuple[float, float]]] = [] if want_certs else None
     flags: List[bool] = []
+    inner_iters: List[int] = []
 
     for t in range(1, config.rounds + 1):
         tic = time.perf_counter()
@@ -378,20 +437,28 @@ def ihs_solve(
         c = gram @ x + mu * (a.T @ (y - a @ x) / n)
         if isinstance(cset, Unconstrained):
             x = solve_psd(gram, c)
-            converged = True
+            converged, iters = True, 0
         else:
+            lam = top_eigenvalue(gram)
+            ctl = config.inner
+            if config.inner_schedule == "tracking" and t >= 2:
+                outer_step = float(np.linalg.norm(iterates[-1] - iterates[-2]))
+                tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
+                if tol > ctl.resolve_tol(c):
+                    ctl = replace(ctl, tol=tol)
             q = SketchedQuadratic(b, c, cset, G=gram)
-            res = solve_constrained(q, x0=x, ctl=config.inner)
-            x, converged = res.x, res.converged
+            res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
+            x, converged, iters = res.x, res.converged, res.iterations
         seconds.append(time.perf_counter() - tic)
         flags.append(converged)
+        inner_iters.append(iters)
         iterates.append(x.copy())
         if errs_ls is not None:
             errs_ls.append(problem.seminorm(x - ref))
         if errs_truth is not None:
             errs_truth.append(problem.seminorm(x - problem.truth))
 
-    return IhsReport(iterates, errs_ls, errs_truth, seconds, certs, flags)
+    return IhsReport(iterates, errs_ls, errs_truth, seconds, certs, flags, inner_iters)
 
 
 _WIDTH_FAMILIES = ("unconstrained", "sparse", "lowrank")

@@ -6,7 +6,8 @@ problems by projected gradient, by default with Nesterov momentum that
 restarts whenever the objective fails to decrease, which keeps the
 accepted iterates monotone. The gradient step is 1/L with
 ``L = OPNORM_SAFETY * lambda_max(B^T B)``, the top eigenvalue taken
-exactly from the Gram matrix that the iteration forms anyway.
+exactly from the Gram matrix that the iteration forms anyway (or handed
+in by a caller that has computed it already).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained, project
 from .errors import DimensionError, RankDeficiencyError, SingularMatrixError
-from .linalg import OPNORM_SAFETY, ensure_matrix, ensure_vector, solve_psd
+from .linalg import OPNORM_SAFETY, ensure_matrix, ensure_vector, solve_psd, top_eigenvalue
 
 
 @dataclass
@@ -59,6 +60,14 @@ class SolverControls:
     ``tol`` bounds the gradient-mapping norm; ``None`` selects the
     default ``1e-10 * max(1, ||c||_2)``, tight enough that outer
     contraction arguments treating inner solves as exact stay valid.
+
+    Inside ``ihs_solve`` this tolerance is a floor. Under the default
+    ``IhsConfig(inner_schedule="tracking")`` every constrained round
+    after the first is handed a looser tolerance that tracks the outer
+    step, which gives up the exact-solve assumption of the paper's
+    contraction argument; ``inner_schedule="fixed"`` uses this
+    tolerance in every round. Either way a round counts as converged
+    when it met the tolerance it was handed.
     """
 
     tol: Optional[float] = None
@@ -100,17 +109,20 @@ def solve_constrained(
     q: SketchedQuadratic,
     x0: Optional[np.ndarray] = None,
     ctl: Optional[SolverControls] = None,
+    lam_max: Optional[float] = None,
 ) -> SubsolveResult:
     """Projected-gradient minimization of ``q`` over its constraint set.
 
     Starts from the projection of ``x0`` (zero if omitted), keeps every
     iterate feasible, and stops once the gradient mapping
     ``L ||x - P_C(x - grad g(x)/L)||`` drops below the tolerance.
+    ``lam_max`` is ``lambda_max(q.G)`` when the caller has it already;
+    otherwise it is computed here.
     """
     ctl = ctl or SolverControls()
     gram = q.G
     tol = ctl.resolve_tol(q.c)
-    lip = OPNORM_SAFETY * float(np.linalg.eigvalsh(gram)[-1])
+    lip = OPNORM_SAFETY * (top_eigenvalue(gram) if lam_max is None else lam_max)
     if lip <= 0.0:
         lip = 1.0
 

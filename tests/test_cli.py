@@ -77,6 +77,37 @@ class TestSolve:
         out = [float(v) for v in capsys.readouterr().out.split()]
         assert max(np.abs(out)) <= 1.0 + 1e-9
 
+    def test_reference_read_once(self, problem_files, tmp_path, monkeypatch, capsys):
+        import ihskit.cli as cli_mod
+
+        a, y = problem_files
+        ref = tmp_path / "ref.csv"
+        ref.write_text("1\n2\n")
+        reads = []
+        real = cli_mod._load_vector
+
+        def counting(path):
+            reads.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(cli_mod, "_load_vector", counting)
+        code = run(["solve", "--method", "ihs", "--matrix", a, "--rhs", y, "--m", "3",
+                    "--rounds", "2", "--seed", "4", "--reference", ref])
+        assert code == 0
+        assert reads.count(str(ref)) == 1
+        assert "error to reference" in capsys.readouterr().out
+
+    def test_report_lists_inner_iterations(self, tmp_path, capsys):
+        prefix = tmp_path / "run"
+        code = run(["solve", "--method", "ihs", "--m", "40", "--rounds", "3", "--seed", "3",
+                    "--generate", "sparse", "--n", "200", "--d", "10", "--s", "3",
+                    "--out", prefix])
+        assert code == 0
+        rep = json.loads((tmp_path / "run_report.json").read_text())
+        assert len(rep["inner_iterations"]) == 3
+        assert all(isinstance(k, int) and k >= 1 for k in rep["inner_iterations"])
+        capsys.readouterr()
+
     def test_nonconvergence_exit_code(self, capsys):
         code = run(["solve", "--method", "ihs", "--m", "40", "--rounds", "2", "--seed", "3",
                     "--generate", "sparse", "--n", "200", "--d", "10", "--s", "3",

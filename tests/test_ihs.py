@@ -372,6 +372,77 @@ class TestRecommenders:
             recommend_iterations(100, -1.0, 1.0, 0.5)
 
 
+class TestInnerSchedule:
+    """The inner tolerance of constrained rounds tracks the outer step."""
+
+    CASES = {
+        "l1": (lambda: gen_sparse(1500, 40, 5, 1.0, 97), 240, 20),
+        "nuclear": (lambda: gen_lowrank(60, 8, 8, 2, 0.25, 101), 48, 30),
+    }
+
+    @staticmethod
+    def _run(prob, m, rounds, schedule, reference=None):
+        cfg = IhsConfig(SketchSpec("gaussian", m, 7), rounds, inner_schedule=schedule)
+        return ihs_solve(prob, cfg, reference=reference)
+
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="inner_schedule"):
+            IhsConfig(SketchSpec("gaussian", 10, 0), rounds=1, inner_schedule="adaptive")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_accuracy_fewer_inner_iterations(self, case):
+        make, m, rounds = self.CASES[case]
+        prob = make()
+        x_ref, ok = solve_exact(prob, SolverControls(tol=1e-14, max_iter=200_000),
+                                full_result=True)
+        assert ok
+        scale = prob.seminorm(x_ref)
+        fixed = self._run(prob, m, rounds, "fixed", x_ref)
+        tracking = self._run(prob, m, rounds, "tracking", x_ref)
+        assert fixed.all_converged and tracking.all_converged
+        assert fixed.errors_to_ls[-1] <= 1e-8 * scale
+        assert tracking.errors_to_ls[-1] <= 1e-8 * scale
+        assert abs(tracking.errors_to_ls[-1] - fixed.errors_to_ls[-1]) <= 1e-8 * scale
+        assert len(tracking.inner_iterations) == rounds
+        assert min(tracking.inner_iterations) >= 1
+        assert sum(tracking.inner_iterations) < sum(fixed.inner_iterations)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rounds_meet_a_tolerance_no_lower_than_the_floor(self, case, monkeypatch):
+        import ihskit.ihs as ihs_mod
+
+        make, m, rounds = self.CASES[case]
+        prob = make()
+        floor_ctl = SolverControls()
+        seen = []
+        real = ihs_mod.solve_constrained
+
+        def spy(q, x0=None, ctl=None, lam_max=None):
+            res = real(q, x0=x0, ctl=ctl, lam_max=lam_max)
+            seen.append((ctl.resolve_tol(q.c), floor_ctl.resolve_tol(q.c), res))
+            return res
+
+        monkeypatch.setattr(ihs_mod, "solve_constrained", spy)
+        rep = self._run(prob, m, rounds, "tracking")
+        assert all(rep.round_converged)
+        assert len(seen) == rounds
+        assert seen[0][0] == seen[0][1]          # round 1 keeps the floor
+        assert any(given > floor for given, floor, _ in seen[1:])
+        for (given, floor, res), iters in zip(seen, rep.inner_iterations):
+            assert given >= floor
+            assert res.converged and res.grad_map_norm <= given
+            assert res.iterations == iters
+
+    def test_unconstrained_identical_under_both_schedules(self):
+        prob = gen_unconstrained(300, 12, 1.0, 103)
+        reps = [self._run(prob, 72, 5, schedule, solve_exact(prob))
+                for schedule in ("fixed", "tracking")]
+        for a, b in zip(reps[0].iterates, reps[1].iterates):
+            assert np.array_equal(a, b)
+        assert reps[0].errors_to_ls == reps[1].errors_to_ls
+        assert reps[0].inner_iterations == reps[1].inner_iterations == [0] * 5
+
+
 class TestProblemValidation:
     def test_dimension_checks(self):
         with pytest.raises(Exception):

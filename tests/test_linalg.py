@@ -8,6 +8,7 @@ from ihskit.linalg import (
     fwht_normalized,
     solve_psd,
     thin_svd,
+    top_eigenvalue,
 )
 
 rng = np.random.default_rng(101)
@@ -105,6 +106,22 @@ class TestSolvePsd:
             with pytest.raises(SingularMatrixError) as exc:
                 solve_psd(g, np.ones(g.shape[0]))
             assert exc.value.pivot == pivot
+
+
+class TestTopEigenvalue:
+    @pytest.mark.parametrize("d", [1, 12, 144])
+    def test_matches_full_spectrum(self, d):
+        b = rng.standard_normal((3 * d, d))
+        g = b.T @ b
+        assert top_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(g)[-1], rel=1e-13)
+
+    def test_indefinite_and_zero(self):
+        assert top_eigenvalue(np.diag([-3.0, 0.5, 2.0])) == pytest.approx(2.0)
+        assert top_eigenvalue(np.zeros((4, 4))) == 0.0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(Exception, match="square"):
+            top_eigenvalue(np.ones((2, 3)))
 
 
 class TestOpnormEstimate:
