@@ -290,8 +290,8 @@ def _recommended_m(problem, p) -> int:
 @click.option("--m", type=int, default=None, help="Sketch dimension per round.")
 @click.option("--rounds", type=int, default=8, show_default=True,
               help="Iteration count for --method ihs.")
-@click.option("--rho", type=float, default=0.5, show_default=True,
-              help="Target contraction recorded in the solver config.")
+@click.option("--rho", type=click.FloatRange(0.0, 0.5, min_open=True), default=0.5,
+              show_default=True, help="Target contraction used when --m is derived automatically.")
 @click.option("--c0", type=float, default=1.5, show_default=True,
               help="Width constant used when --m is derived automatically.")
 @click.option("--seed", type=int, default=None, help="Master seed (required when random).")
@@ -326,6 +326,9 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                              p["seed"])
     ctl = _controls(p["inner_tol"], p["inner_max_iter"], p["no_acceleration"])
     ref = _load_vector(p["reference"]) if p["reference"] else None
+    if ref is not None and ref.shape[0] != problem.d:
+        raise click.UsageError(f"{p['reference']}: the reference has {ref.shape[0]} "
+                               f"entries, the problem has d = {problem.d}")
     method = p["method"]
     report = None
     converged = True
@@ -341,7 +344,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
         else:
             try:
-                cfg = IhsConfig(spec, p["rounds"], rho=p["rho"], inner=ctl,
+                cfg = IhsConfig(spec, p["rounds"], inner=ctl,
                                 collect_certificates=p["certificates"])
             except ValueError as exc:
                 raise click.UsageError(str(exc)) from exc

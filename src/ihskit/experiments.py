@@ -163,9 +163,9 @@ def gen_lowrank(n: int, d1: int, d2: int, r: int, sigma: float, seed) -> LsProbl
 
     The truth is a rank-r d1 x d2 matrix with unit Frobenius norm, the
     constraint set the nuclear ball of radius ||X*||_nuc, and the design
-    matrix the block-diagonal stacking I_{d2} (x) A_base so that the
-    vector solvers apply unchanged. ``sketch_blocks`` is set to d2:
-    sketches draw one m x n base operator shared by all response
+    matrix the block-diagonal stacking I_{d2} (x) A_base with
+    ``sketch_blocks = d2``. The solvers work on A_base and the d1 x d2
+    iterate, and each sketch is one m x n draw shared by all response
     columns.
     """
     if not 1 <= r <= min(d1, d2):

@@ -79,13 +79,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .constraints import ConstraintSet, Unconstrained, ambient_dim, project
+from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
 from .linalg import ensure_matrix, ensure_vector, solve_psd, thin_svd, top_eigenvalue
 from .sketch import SketchOperator, SketchSpec, build_sketch, leverage_scores
 from .subsolver import (
     SketchedQuadratic,
     SolverControls,
+    project_iterate,
     solve_constrained,
     solve_unconstrained,
 )
@@ -112,9 +113,12 @@ TRACKING_FACTOR = 0.01
 class LsProblem:
     """A constrained least-squares instance, optionally with ground truth.
 
-    ``sketch_blocks`` > 1 marks A as ``I_blocks (x) A_base`` (a stacked
-    multiple-response problem); sketches then act blockwise on A_base
-    rather than on the full stacked matrix.
+    ``sketch_blocks = k`` > 1 marks a multiple-response problem stacked
+    column-major: A must be exactly ``I_k (x) A_base`` and is rejected
+    otherwise. The solvers then work on A_base, the response as an
+    ``n/k x k`` matrix and the iterate as a ``d/k x k`` matrix, with one
+    sketch of A_base's rows shared by every response column. Inputs and
+    outputs stay flat column-major vectors of length d.
     """
 
     A: np.ndarray
@@ -131,21 +135,26 @@ class LsProblem:
             raise DimensionError(
                 f"A has {self.A.shape[0]} rows but y has length {self.y.shape[0]}"
             )
-        if self.truth is not None:
-            self.truth = ensure_vector(self.truth, "truth")
-            if self.truth.shape[0] != self.A.shape[1]:
-                raise DimensionError(
-                    f"truth has length {self.truth.shape[0]}, expected {self.A.shape[1]}"
-                )
         want = ambient_dim(self.set)
         if want is not None and want != self.A.shape[1]:
             raise DimensionError(
                 f"constraint set expects dimension {want}, A has {self.A.shape[1]} columns"
             )
-        if self.sketch_blocks < 1 or self.A.shape[0] % self.sketch_blocks:
-            raise DimensionError(
-                f"{self.A.shape[0]} rows do not split into {self.sketch_blocks} blocks"
-            )
+        k = self.sketch_blocks
+        if k < 1 or self.A.shape[0] % k or self.A.shape[1] % k:
+            raise DimensionError(f"A of shape {self.A.shape} does not split into {k} blocks")
+        if k > 1:
+            nb, db = self.A.shape[0] // k, self.A.shape[1] // k
+            base = self.A[:nb, :db]
+            # the diagonal blocks of a (k, nb, k, db) view, then a nonzero
+            # count that leaves no room for nonzero off-diagonal entries
+            diag = np.diagonal(self.A.reshape(k, nb, k, db), axis1=0, axis2=2)
+            if (not np.all(diag == base[:, :, None])
+                    or np.count_nonzero(self.A) != k * np.count_nonzero(base)):
+                raise DimensionError(f"A is not I_{k} (x) A_base with A_base of shape {base.shape}")
+        if self.truth is not None:
+            self.truth = ensure_vector(self.truth, "truth")
+            _unflatten(self, self.truth, "truth")
 
     @property
     def n(self) -> int:
@@ -157,16 +166,41 @@ class LsProblem:
 
     def seminorm(self, v) -> float:
         """Prediction seminorm ``||A v||_2 / sqrt(n)``."""
-        return float(np.linalg.norm(self.A @ v)) / math.sqrt(self.n)
+        a_base = _base_form(self)[0]
+        return float(np.linalg.norm(a_base @ _unflatten(self, v, "v"))) / math.sqrt(self.n)
+
+
+def _base_form(problem: LsProblem) -> Tuple[np.ndarray, np.ndarray]:
+    """A_base and the response as an n_base x k matrix, both views.
+
+    With k = 1 they are A and y themselves, and iterates stay 1-D, so an
+    ordinary problem runs the same products as a vector solver would.
+    """
+    k = problem.sketch_blocks
+    if k == 1:
+        return problem.A, problem.y
+    return problem.A[:problem.n // k, :problem.d // k], problem.y.reshape((-1, k), order="F")
+
+
+def _unflatten(problem: LsProblem, v, name: str) -> np.ndarray:
+    """A flat length-d vector as a d_base x k iterate (1-D when k = 1)."""
+    v = ensure_vector(v, name)
+    if v.shape[0] != problem.d:
+        raise DimensionError(f"{name} has length {v.shape[0]}, expected {problem.d}")
+    k = problem.sketch_blocks
+    return v if k == 1 else v.reshape((-1, k), order="F")
+
+
+def _sketch(op: SketchOperator, v: np.ndarray) -> np.ndarray:
+    return op.apply(v) if v.ndim == 2 else op.apply_vec(v)
 
 
 @dataclass
 class IhsConfig:
     """Controls for the iterative solver: per-round sketch, round count,
-    target contraction (bookkeeping for the recommenders), unconstrained
-    step rule (``"plain"`` or ``"tuned"``, see the module docstring),
-    inner solver settings and the inner tolerance schedule of
-    constrained rounds.
+    unconstrained step rule (``"plain"`` or ``"tuned"``, see the module
+    docstring), inner solver settings and the inner tolerance schedule
+    of constrained rounds.
 
     ``inner_schedule="tracking"`` (the default) loosens the tolerance of
     each constrained round after the first to track the outer step,
@@ -180,7 +214,6 @@ class IhsConfig:
 
     spec: SketchSpec
     rounds: int
-    rho: float = 0.5
     inner: SolverControls = field(default_factory=SolverControls)
     collect_certificates: bool = False
     x0: Optional[np.ndarray] = None
@@ -190,8 +223,6 @@ class IhsConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 < self.rho <= 0.5:
-            raise ValueError(f"rho must lie in (0, 1/2], got {self.rho}")
         if self.step not in STEPS:
             raise ValueError(f"unknown step {self.step!r}; expected one of {STEPS}")
         if self.inner_schedule not in INNER_SCHEDULES:
@@ -226,12 +257,8 @@ class IhsReport:
         return all(self.round_converged)
 
 
-def _leverage_for(problem: LsProblem, spec: SketchSpec):
-    if spec.kind != "rowsample_leverage":
-        return None
-    if problem.sketch_blocks != 1:
-        raise DimensionError("leverage sampling is not supported for block-structured problems")
-    return leverage_scores(problem.A)
+def _leverage_for(a: np.ndarray, spec: SketchSpec):
+    return leverage_scores(a) if spec.kind == "rowsample_leverage" else None
 
 
 def solve_exact(
@@ -247,26 +274,41 @@ def solve_exact(
     ``(x, converged)``, where ``converged`` is false when the subsolver
     stopped at its iteration cap.
     """
+    a, y = _base_form(problem)
     n = problem.n
-    c = problem.A.T @ problem.y / n
+    c = a.T @ y / n
     if isinstance(problem.set, Unconstrained):
         try:
-            x = solve_psd(problem.A.T @ problem.A / n, c)
+            x = solve_psd(a.T @ a / n, c)
         except Exception as exc:
             raise RankDeficiencyError(f"A^T A is singular: {exc}") from exc
         converged = True
     else:
-        q = SketchedQuadratic(problem.A / math.sqrt(n), c, problem.set)
+        q = SketchedQuadratic(a / math.sqrt(n), c, problem.set)
         res = solve_constrained(q, x0=None, ctl=ctl)
         x, converged = res.x, res.converged
+    x = x.flatten(order="F")
     return (x, converged) if full_result else x
 
 
-def _minimize(q: SketchedQuadratic, x0, ctl) -> Tuple[np.ndarray, bool]:
+def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_response):
+    """The classical (``sketch_response``) or the Hessian sketch solve."""
+    if operator is None and spec is None:
+        raise ValueError("either a sketch spec or a realized operator is required")
+    a, y = _base_form(problem)
+    op = operator if operator is not None else build_sketch(
+        spec, a.shape[0], leverage_p=_leverage_for(a, spec))
+    sa = op.apply(a)
+    scale = problem.n * op.m
+    c = sa.T @ _sketch(op, y) / scale if sketch_response else a.T @ y / problem.n
+    q = SketchedQuadratic(sa / math.sqrt(scale), c, problem.set)
     if isinstance(q.set, Unconstrained):
-        return solve_unconstrained(q), True
-    res = solve_constrained(q, x0=x0, ctl=ctl)
-    return res.x, res.converged
+        x, converged = solve_unconstrained(q), True
+    else:
+        res = solve_constrained(q, x0=None, ctl=ctl)
+        x, converged = res.x, res.converged
+    x = x.flatten(order="F")
+    return (x, converged) if full_result else x
 
 
 def classical_sketch_solve(
@@ -280,18 +322,9 @@ def classical_sketch_solve(
 
     ``operator`` overrides the random draw with a fixed realized sketch
     (e.g. the scaled identity), in which case ``spec`` may be omitted.
+    On a block problem the sketch acts on the n/k rows of A_base.
     """
-    if operator is None and spec is None:
-        raise ValueError("either a sketch spec or a realized operator is required")
-    op = operator if operator is not None else build_sketch(
-        spec, problem.n, leverage_p=_leverage_for(problem, spec),
-        blocks=problem.sketch_blocks)
-    sa = op.apply(problem.A)
-    sy = op.apply_vec(problem.y)
-    scale = problem.n * op.m
-    q = SketchedQuadratic(sa / math.sqrt(scale), sa.T @ sy / scale, problem.set)
-    x, converged = _minimize(q, None, ctl)
-    return (x, converged) if full_result else x
+    return _one_shot(problem, spec, ctl, full_result, operator, sketch_response=True)
 
 
 def hessian_sketch_solve(
@@ -303,19 +336,15 @@ def hessian_sketch_solve(
 ):
     """Solve with the quadratic term sketched and the exact linear term,
     ``min_C (1/2nm) ||S A x||^2 - <A^T y / n, x>``."""
-    if operator is None and spec is None:
-        raise ValueError("either a sketch spec or a realized operator is required")
-    op = operator if operator is not None else build_sketch(
-        spec, problem.n, leverage_p=_leverage_for(problem, spec),
-        blocks=problem.sketch_blocks)
-    sa = op.apply(problem.A)
-    q = SketchedQuadratic(
-        sa / math.sqrt(problem.n * op.m),
-        problem.A.T @ problem.y / problem.n,
-        problem.set,
-    )
-    x, converged = _minimize(q, None, ctl)
-    return (x, converged) if full_result else x
+    return _one_shot(problem, spec, ctl, full_result, operator, sketch_response=False)
+
+
+def _range_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of range(A), which must have full column rank."""
+    u, s, _ = thin_svd(a)
+    if s.size == 0 or s[0] <= 0 or np.sum(s > 1e-10 * s[0]) < a.shape[1]:
+        raise RankDeficiencyError("certificates require A with full column rank")
+    return u
 
 
 def _round_certificates(op: SketchOperator, u_basis: np.ndarray, direction: np.ndarray,
@@ -323,18 +352,18 @@ def _round_certificates(op: SketchOperator, u_basis: np.ndarray, direction: np.n
     """(Z1, Z2) of one operator for the unconstrained cone.
 
     ``u_basis`` is an orthonormal basis of range(A); ``direction`` the
-    un-normalized reference direction A(x_ref - x_t) in response space.
-    Z2 measures ``S^T S / m - mu I``, the matrix that maps the error of
-    an update with step mu (mu = 1 gives the paper's Z2).
+    un-normalized reference direction A(x_ref - x_t) in response space,
+    an n_base x k matrix on a block problem. Z2 measures
+    ``S^T S / m - mu I``, the matrix that maps the error of an update
+    with step mu (mu = 1 gives the paper's Z2).
     """
     su = op.apply(u_basis)
-    w = su.T @ su / op.m
-    z1 = float(np.linalg.eigvalsh(w)[0])
+    z1 = float(np.linalg.eigvalsh(su.T @ su / op.m)[0])
     nv = float(np.linalg.norm(direction))
     if nv <= 0.0:
         return z1, 0.0
     u = direction / nv
-    z2 = float(np.linalg.norm(op.apply_vec(u) @ su / op.m - mu * (u @ u_basis)))
+    z2 = float(np.linalg.norm(_sketch(op, u).T @ su / op.m - mu * (u.T @ u_basis)))
     return z1, z2
 
 
@@ -351,11 +380,8 @@ def contraction_certificates_unconstrained(
     """
     am = ensure_matrix(a, "A")
     xv = ensure_vector(x_ls, "x_ls")
-    u, s, _ = thin_svd(am)
-    if s.size == 0 or s[0] <= 0 or np.sum(s > 1e-10 * s[0]) < am.shape[1]:
-        raise RankDeficiencyError("certificates require A with full column rank")
     start = np.zeros_like(xv) if x_start is None else ensure_vector(x_start, "x_start")
-    return _round_certificates(op, u, am @ (xv - start))
+    return _round_certificates(op, _range_basis(am), am @ (xv - start))
 
 
 def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> float:
@@ -382,7 +408,8 @@ def ihs_solve(
     the exact solution) is supplied, per-round errors to it are
     recorded, and certificates as well if requested and the problem is
     unconstrained. ``operator_factory(t)`` overrides the draw of round
-    t (1-based) with a fixed realized sketch.
+    t (1-based) with a fixed realized sketch, of n/k rows on a block
+    problem.
 
     ``config.step`` selects the unconstrained update ``x+ = G^-1 (G x +
     mu grad)``: ``"plain"`` (mu = 1, the default; a Gaussian sketch at
@@ -397,26 +424,20 @@ def ihs_solve(
     rounds (see the module docstring); unconstrained rounds are exact
     under either schedule.
     """
-    a, y, cset = problem.A, problem.y, problem.set
-    n = problem.n
-    ref = None if reference is None else ensure_vector(reference, "reference")
-    x = np.zeros(problem.d) if config.x0 is None else ensure_vector(config.x0, "x0")
-    x = project(cset, x)
+    a, y = _base_form(problem)
+    cset, n = problem.set, problem.n
+    ref = None if reference is None else _unflatten(problem, reference, "reference")
+    x0 = np.zeros(problem.d) if config.x0 is None else config.x0
+    x = project_iterate(cset, _unflatten(problem, x0, "x0"))
 
     mu = _step_scale(problem, config, operator_factory is not None)
     want_certs = (
         config.collect_certificates and ref is not None and isinstance(cset, Unconstrained)
     )
-    u_basis = None
-    if want_certs:
-        u_basis, sv, _ = thin_svd(a)
-        if sv.size == 0 or np.sum(sv > 1e-10 * sv[0]) < problem.d:
-            raise RankDeficiencyError("certificates require A with full column rank")
+    u_basis = _range_basis(a) if want_certs else None
 
-    lev = _leverage_for(problem, config.spec)
-    iterates = [x.copy()]
-    errs_ls = None if ref is None else [problem.seminorm(x - ref)]
-    errs_truth = None if problem.truth is None else [problem.seminorm(x - problem.truth)]
+    lev = _leverage_for(a, config.spec)
+    xs = [x]
     seconds: List[float] = []
     certs: Optional[List[Tuple[float, float]]] = [] if want_certs else None
     flags: List[bool] = []
@@ -427,8 +448,7 @@ def ihs_solve(
         if operator_factory is not None:
             op = operator_factory(t)
         else:
-            op = build_sketch(config.spec.for_round(t), n, leverage_p=lev,
-                              blocks=problem.sketch_blocks)
+            op = build_sketch(config.spec.for_round(t), a.shape[0], leverage_p=lev)
         if want_certs:
             certs.append(_round_certificates(op, u_basis, a @ (ref - x), mu))
         sa = op.apply(a)
@@ -442,7 +462,7 @@ def ihs_solve(
             lam = top_eigenvalue(gram)
             ctl = config.inner
             if config.inner_schedule == "tracking" and t >= 2:
-                outer_step = float(np.linalg.norm(iterates[-1] - iterates[-2]))
+                outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
                 tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
                 if tol > ctl.resolve_tol(c):
                     ctl = replace(ctl, tol=tol)
@@ -452,13 +472,15 @@ def ihs_solve(
         seconds.append(time.perf_counter() - tic)
         flags.append(converged)
         inner_iters.append(iters)
-        iterates.append(x.copy())
-        if errs_ls is not None:
-            errs_ls.append(problem.seminorm(x - ref))
-        if errs_truth is not None:
-            errs_truth.append(problem.seminorm(x - problem.truth))
+        xs.append(x)
 
-    return IhsReport(iterates, errs_ls, errs_truth, seconds, certs, flags, inner_iters)
+    iterates = [v.flatten(order="F") for v in xs]
+
+    def errors(target):
+        return None if target is None else [problem.seminorm(v - target) for v in iterates]
+
+    return IhsReport(iterates, errors(reference), errors(problem.truth), seconds, certs, flags,
+                     inner_iters)
 
 
 _WIDTH_FAMILIES = ("unconstrained", "sparse", "lowrank")

@@ -120,15 +120,16 @@ def thin_svd(a) -> SvdResult:
 def solve_psd(g, b) -> np.ndarray:
     """Solve ``G x = b`` for symmetric positive definite G via Cholesky.
 
-    Raises :class:`SingularMatrixError` carrying the 0-based index of the
-    first non-positive pivot, as LAPACK ``potrf`` reports it.
+    ``b`` is a vector or a matrix of right-hand sides. Raises
+    :class:`SingularMatrixError` carrying the 0-based index of the first
+    non-positive pivot, as LAPACK ``potrf`` reports it.
     """
     gm = ensure_matrix(g, "G")
-    bv = ensure_vector(b, "b")
+    bv = (ensure_vector if np.ndim(b) == 1 else ensure_matrix)(b, "b")
     if gm.shape[0] != gm.shape[1]:
         raise DimensionError(f"G must be square, got {gm.shape}")
     if gm.shape[0] != bv.shape[0]:
-        raise DimensionError(f"G is {gm.shape} but b has length {bv.shape[0]}")
+        raise DimensionError(f"G is {gm.shape} but b has {bv.shape[0]} rows")
     try:
         low = np.linalg.cholesky(gm)
     except np.linalg.LinAlgError as exc:

@@ -11,12 +11,6 @@ A sketch is a random m x n matrix S normalized so that
   the next power of two);
 * ``rowsample_uniform`` / ``rowsample_leverage`` - rows e_j / sqrt(p_j)
   sampled with replacement from a probability vector p.
-
-Operators may carry ``blocks`` > 1 diagonal copies of a single base
-sketch, i.e. ``I_blocks (x) S``. This is how a multiple-response
-least-squares problem stacked column-major is sketched: every response
-column sees the same base sketch, and the normalization stays the
-per-block m.
 """
 
 from __future__ import annotations
@@ -62,54 +56,39 @@ class SketchSpec:
 
 @dataclass
 class SketchOperator:
-    """A realized sketch: ``I_blocks (x) S_base`` with S_base m x n_base."""
+    """A realized m x n sketch S."""
 
     kind: str
-    n: int                 # source dimension (blocks * n_base)
-    m: int                 # per-block projection dimension
-    blocks: int = 1
-    matrix: Optional[np.ndarray] = None          # explicit kinds: m x n_base
+    n: int                 # source dimension
+    m: int                 # projection dimension
+    matrix: Optional[np.ndarray] = None          # explicit kinds: m x n
     signs: Optional[np.ndarray] = None           # ros: +-1 vector of length n_pad
     indices: Optional[np.ndarray] = None         # ros / rowsample: m sampled indices
     probs: Optional[np.ndarray] = None           # rowsample: sampling probabilities
-    oversampled: bool = False                    # warning flag: m > n_base
-
-    @property
-    def n_base(self) -> int:
-        return self.n // self.blocks
+    oversampled: bool = False                    # warning flag: m > n
 
     @property
     def n_pad(self) -> int:
-        nb = self.n_base
-        return 1 << max(nb - 1, 0).bit_length() if nb > 1 else 1
-
-    @property
-    def out_rows(self) -> int:
-        return self.m * self.blocks
-
-    def _apply_base(self, a: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ a
-        if self.kind == "ros":
-            npad = self.n_pad
-            padded = np.zeros((npad, a.shape[1]))
-            np.multiply(self.signs[: a.shape[0], None], a, out=padded[: a.shape[0]])
-            rows = fwht_normalized(padded)[self.indices, :]
-            rows *= np.sqrt(npad)
-            return rows
-        # row sampling
-        scale = 1.0 / np.sqrt(self.probs[self.indices])
-        return scale[:, None] * a[self.indices, :]
+        """Rows of the ROS transform: n rounded up to a power of two."""
+        return 1 << max(self.n - 1, 0).bit_length() if self.n > 1 else 1
 
     def apply(self, a) -> np.ndarray:
         """Return ``S A`` for a matrix with ``self.n`` rows."""
         am = ensure_matrix(a, "A")
         if am.shape[0] != self.n:
             raise DimensionError(f"operator expects {self.n} rows, got {am.shape[0]}")
-        if self.blocks == 1:
-            return self._apply_base(am)
-        nb = self.n_base
-        return np.vstack([self._apply_base(am[k * nb:(k + 1) * nb]) for k in range(self.blocks)])
+        if self.matrix is not None:
+            return self.matrix @ am
+        if self.kind == "ros":
+            npad = self.n_pad
+            padded = np.zeros((npad, am.shape[1]))
+            np.multiply(self.signs[: self.n, None], am, out=padded[: self.n])
+            rows = fwht_normalized(padded)[self.indices, :]
+            rows *= np.sqrt(npad)
+            return rows
+        # row sampling
+        scale = 1.0 / np.sqrt(self.probs[self.indices])
+        return scale[:, None] * am[self.indices, :]
 
     def apply_vec(self, y) -> np.ndarray:
         """Return ``S y`` for a vector of length ``self.n``."""
@@ -117,77 +96,63 @@ class SketchOperator:
         return self.apply(yv[:, None])[:, 0]
 
     def materialize(self) -> np.ndarray:
-        """The operator as an explicit dense (m * blocks) x n matrix."""
+        """The operator as an explicit dense m x n matrix."""
         if self.matrix is not None:
-            base = self.matrix
-        elif self.kind == "ros":
-            npad = self.n_pad
+            return self.matrix
+        if self.kind == "ros":
             hd = fwht_normalized(np.diag(self.signs.astype(np.float64)))
-            base = np.sqrt(npad) * hd[self.indices, : self.n_base]
-        else:
-            base = np.zeros((self.m, self.n_base))
-            base[np.arange(self.m), self.indices] = 1.0 / np.sqrt(self.probs[self.indices])
-        if self.blocks == 1:
-            return base
-        return np.kron(np.eye(self.blocks), base)
+            return np.sqrt(self.n_pad) * hd[self.indices, : self.n]
+        s = np.zeros((self.m, self.n))
+        s[np.arange(self.m), self.indices] = 1.0 / np.sqrt(self.probs[self.indices])
+        return s
 
 
-def explicit_sketch(matrix, blocks: int = 1) -> SketchOperator:
-    """Wrap an explicit base matrix as a sketch operator (testing hook)."""
+def explicit_sketch(matrix) -> SketchOperator:
+    """Wrap an explicit matrix as a sketch operator (testing hook)."""
     m = ensure_matrix(matrix, "S")
-    return SketchOperator(
-        kind="gaussian", n=m.shape[1] * blocks, m=m.shape[0], blocks=blocks,
-        matrix=m, oversampled=m.shape[0] > m.shape[1],
-    )
+    return SketchOperator(kind="gaussian", n=m.shape[1], m=m.shape[0], matrix=m,
+                          oversampled=m.shape[0] > m.shape[1])
 
 
-def identity_sketch(n: int, scaled: bool = True, blocks: int = 1) -> SketchOperator:
+def identity_sketch(n: int, scaled: bool = True) -> SketchOperator:
     """The m = n override S = sqrt(n) I (or plain I when ``scaled=False``).
 
     With scaling, ``S^T S / m = I`` holds exactly, so sketched solvers
     coincide with their unsketched counterparts.
     """
-    s = np.sqrt(n) * np.eye(n) if scaled else np.eye(n)
-    return explicit_sketch(s, blocks=blocks)
+    return explicit_sketch(np.sqrt(n) * np.eye(n) if scaled else np.eye(n))
 
 
-def build_sketch(spec: SketchSpec, n: int, leverage_p=None, blocks: int = 1) -> SketchOperator:
+def build_sketch(spec: SketchSpec, n: int, leverage_p=None) -> SketchOperator:
     """Draw the operator described by ``spec`` for sources of dimension ``n``.
 
-    Deterministic given ``(spec, n, blocks)``. ``n`` counts total source
-    rows; with ``blocks`` > 1 it must be divisible by ``blocks`` and the
-    base sketch acts on ``n // blocks`` rows. ``m > n_base`` is permitted
-    but flagged via ``oversampled``.
+    Deterministic given ``(spec, n)``. ``m > n`` is permitted but
+    flagged via ``oversampled``.
     """
     if n < 1:
         raise ValueError(f"source dimension n must be >= 1, got {n}")
-    if blocks < 1 or n % blocks:
-        raise DimensionError(f"n={n} is not divisible into {blocks} blocks")
-    nb = n // blocks
     rng = derive_rng(spec.seed, *spec.stream)
-    op = SketchOperator(kind=spec.kind, n=n, m=spec.m, blocks=blocks,
-                        oversampled=spec.m > nb)
+    op = SketchOperator(kind=spec.kind, n=n, m=spec.m, oversampled=spec.m > n)
     if spec.kind == "gaussian":
-        op.matrix = rng.standard_normal((spec.m, nb))
+        op.matrix = rng.standard_normal((spec.m, n))
     elif spec.kind == "rademacher":
-        op.matrix = 2.0 * rng.integers(0, 2, size=(spec.m, nb)) - 1.0
+        op.matrix = 2.0 * rng.integers(0, 2, size=(spec.m, n)) - 1.0
     elif spec.kind == "ros":
-        npad = 1 << max(nb - 1, 0).bit_length() if nb > 1 else 1
-        op.signs = 2.0 * rng.integers(0, 2, size=npad) - 1.0
-        op.indices = rng.integers(0, npad, size=spec.m)
+        op.signs = 2.0 * rng.integers(0, 2, size=op.n_pad) - 1.0
+        op.indices = rng.integers(0, op.n_pad, size=spec.m)
     elif spec.kind == "rowsample_uniform":
-        op.probs = np.full(nb, 1.0 / nb)
-        op.indices = rng.integers(0, nb, size=spec.m)
+        op.probs = np.full(n, 1.0 / n)
+        op.indices = rng.integers(0, n, size=spec.m)
     else:  # rowsample_leverage
         if leverage_p is None:
             raise MissingHintError("rowsample_leverage requires a leverage probability vector")
         p = ensure_vector(leverage_p, "leverage_p")
-        if p.shape[0] != nb:
-            raise DimensionError(f"leverage_p has length {p.shape[0]}, expected {nb}")
+        if p.shape[0] != n:
+            raise DimensionError(f"leverage_p has length {p.shape[0]}, expected {n}")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-10:
             raise ValueError("leverage_p must be nonnegative and sum to 1 within 1e-10")
         op.probs = p
-        op.indices = rng.choice(nb, size=spec.m, replace=True, p=p)
+        op.indices = rng.choice(n, size=spec.m, replace=True, p=p)
     return op
 
 

@@ -26,6 +26,9 @@ from .linalg import OPNORM_SAFETY, ensure_matrix, ensure_vector, solve_psd, top_
 class SketchedQuadratic:
     """Data of ``g(x) = 0.5 ||B x||^2 - <c, x>`` minimized over ``set``.
 
+    ``c`` is a vector, or a d x k matrix when k responses share one B;
+    x takes its shape, and the set sees x flattened column-major.
+
     ``G`` is the Gram matrix ``B^T B``. A caller that has formed it
     already passes it in; otherwise it is formed once at construction.
     """
@@ -37,7 +40,7 @@ class SketchedQuadratic:
 
     def __post_init__(self):
         self.B = ensure_matrix(self.B, "B")
-        self.c = ensure_vector(self.c, "c")
+        self.c = (ensure_vector if np.ndim(self.c) == 1 else ensure_matrix)(self.c, "c")
         d = self.B.shape[1]
         if d != self.c.shape[0]:
             raise DimensionError(f"B has {d} columns but c has length {self.c.shape[0]}")
@@ -50,7 +53,7 @@ class SketchedQuadratic:
 
     def value(self, x: np.ndarray) -> float:
         bx = self.B @ x
-        return 0.5 * float(bx @ bx) - float(self.c @ x)
+        return 0.5 * float(np.vdot(bx, bx)) - float(np.vdot(self.c, x))
 
 
 @dataclass
@@ -94,6 +97,11 @@ class SubsolveResult:
     grad_map_norm: float
 
 
+def project_iterate(cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
+    """Project a vector or a d x k iterate through its column-major flattening."""
+    return project(cset, x.ravel(order="F")).reshape(x.shape, order="F")
+
+
 def solve_unconstrained(q: SketchedQuadratic) -> np.ndarray:
     """Exact minimizer ``(B^T B)^{-1} c`` of the unconstrained quadratic."""
     try:
@@ -127,9 +135,9 @@ def solve_constrained(
         lip = 1.0
 
     def value(v):
-        return 0.5 * float(v @ (gram @ v)) - float(q.c @ v)
+        return 0.5 * float(np.vdot(v, gram @ v)) - float(np.vdot(q.c, v))
 
-    x = project(q.set, np.zeros(q.c.shape[0]) if x0 is None else ensure_vector(x0, "x0"))
+    x = project_iterate(q.set, np.zeros_like(q.c) if x0 is None else np.asarray(x0, float))
     z = x.copy()
     tk = 1.0
     fx = value(x)
@@ -137,21 +145,21 @@ def solve_constrained(
     iterations = 0
     for iterations in range(1, ctl.max_iter + 1):
         if ctl.acceleration:
-            x_new = project(q.set, z - (gram @ z - q.c) / lip)
+            x_new = project_iterate(q.set, z - (gram @ z - q.c) / lip)
             f_new = value(x_new)
             if f_new > fx:
                 # momentum overshot: restart from the last accepted iterate
                 z = x.copy()
                 tk = 1.0
-                x_new = project(q.set, z - (gram @ z - q.c) / lip)
+                x_new = project_iterate(q.set, z - (gram @ z - q.c) / lip)
                 f_new = value(x_new)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
             z = x_new + ((tk - 1.0) / t_next) * (x_new - x)
             tk = t_next
-            step = project(q.set, x_new - (gram @ x_new - q.c) / lip)
+            step = project_iterate(q.set, x_new - (gram @ x_new - q.c) / lip)
             grad_map = lip * float(np.linalg.norm(x_new - step))
         else:
-            x_new = project(q.set, x - (gram @ x - q.c) / lip)
+            x_new = project_iterate(q.set, x - (gram @ x - q.c) / lip)
             f_new = value(x_new)
             grad_map = lip * float(np.linalg.norm(x - x_new))
         x, fx = x_new, f_new

@@ -69,6 +69,24 @@ class TestSolve:
         assert "error to reference" in out
         assert float(out.strip().rsplit(" ", 1)[-1]) <= 1e-9
 
+    @pytest.mark.parametrize("method", ["exact", "ihs"])
+    def test_wrong_length_reference_is_usage_error(self, tmp_path, capsys, method):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("1\n2\n3\n4\n5\n")
+        code = run(["solve", "--method", method, "--generate", "unconstrained", "--n", "30",
+                    "--d", "4", "--m", "12", "--seed", "3", "--reference", ref])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "5 entries" in err and "d = 4" in err
+
+    @pytest.mark.parametrize("method", ["classical", "ihs"])
+    def test_rho_checked_when_m_given(self, capsys, method):
+        code = run(["solve", "--method", method, "--m", "30", "--rho", "0.7",
+                    "--generate", "unconstrained", "--n", "100", "--d", "5", "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--rho" in err and "0<x<=0.5" in err
+
     def test_constrained_solve_respects_constraint(self, problem_files, capsys):
         a, y = problem_files
         code = run(["solve", "--method", "exact", "--matrix", a, "--rhs", y,

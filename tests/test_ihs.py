@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ihskit.constraints import Box, L1Ball, Unconstrained, contains
-from ihskit.errors import MissingHintError
+from ihskit.errors import DimensionError, MissingHintError
 from ihskit.experiments import gen_lowrank, gen_sparse, gen_unconstrained
 from ihskit.ihs import (
     IhsConfig,
@@ -15,7 +17,14 @@ from ihskit.ihs import (
     recommend_sketch_size,
     solve_exact,
 )
-from ihskit.sketch import SketchSpec, build_sketch, identity_sketch
+from ihskit.sketch import (
+    KINDS,
+    SketchSpec,
+    build_sketch,
+    explicit_sketch,
+    identity_sketch,
+    leverage_scores,
+)
 from ihskit.subsolver import SolverControls
 
 rng = np.random.default_rng(55)
@@ -454,3 +463,87 @@ class TestProblemValidation:
         from ihskit.constraints import NuclearBall
         with pytest.raises(Exception):
             LsProblem(np.ones((4, 5)), np.ones(4), set=NuclearBall(1.0, 2, 2))
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(b)
+
+
+class TestBlockProblems:
+    """A block problem ``I_k (x) A_base`` solved on its base block equals
+    the same stacked problem made flat and driven by the explicit sketch
+    ``sqrt(k) (I_k (x) S_base)``, whose k m rows carry the same
+    normalization as the m rows of S_base."""
+
+    K, N_BASE, M = 3, 30, 20
+
+    def _problems(self, constrained):
+        block = gen_lowrank(self.N_BASE, 4, self.K, 1, 0.25, 61)
+        if not constrained:
+            block = LsProblem(block.A, block.y, truth=block.truth, sketch_blocks=self.K)
+        return block, replace(block, sketch_blocks=1)
+
+    def _flat_operator(self, block, spec):
+        a_base = block.A[:self.N_BASE, :block.d // self.K]
+        lev = leverage_scores(a_base) if spec.kind == "rowsample_leverage" else None
+        base = build_sketch(spec, self.N_BASE, leverage_p=lev).materialize()
+        return explicit_sketch(np.sqrt(self.K) * np.kron(np.eye(self.K), base))
+
+    # iterates within tol relative; errors within tol absolute, as the
+    # golden CSVs compare them (an error to x_ls is a small difference)
+    @pytest.mark.parametrize("constrained, tol", [(False, 1e-12), (True, 1e-8)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solvers_match_flat_form(self, kind, constrained, tol):
+        block, flat = self._problems(constrained)
+        spec = SketchSpec(kind, self.M, 7)
+        x_ls = solve_exact(flat)
+        assert _rel(solve_exact(block), x_ls) <= tol
+
+        cfg = IhsConfig(spec, 4, inner_schedule="fixed")
+        got = ihs_solve(block, cfg, reference=x_ls)
+        want = ihs_solve(flat, cfg, reference=x_ls,
+                         operator_factory=lambda t: self._flat_operator(block, spec.for_round(t)))
+        assert len(got.iterates) == len(want.iterates) == 5
+        for xg, xw in zip(got.iterates[1:], want.iterates[1:]):
+            assert _rel(xg, xw) <= tol
+        assert np.allclose(got.errors_to_ls, want.errors_to_ls, rtol=0.0, atol=tol)
+        assert np.allclose(got.errors_to_truth, want.errors_to_truth, rtol=0.0, atol=tol)
+
+        op = self._flat_operator(block, spec)
+        for solver in (classical_sketch_solve, hessian_sketch_solve):
+            assert _rel(solver(block, spec), solver(flat, operator=op)) <= tol
+
+    def test_certificates_match_flat_form(self):
+        block, flat = self._problems(constrained=False)
+        spec = SketchSpec("gaussian", self.M, 8)
+        x_ls = solve_exact(flat)
+        cfg = IhsConfig(spec, 3, collect_certificates=True)
+        got = ihs_solve(block, cfg, reference=x_ls).certificates
+        want = ihs_solve(flat, cfg, reference=x_ls, operator_factory=lambda t: (
+            self._flat_operator(block, spec.for_round(t)))).certificates
+        assert len(got) == len(want) == 3
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_block_structure_checked(self):
+        block, _ = self._problems(constrained=False)
+        a, nb, db = block.A, self.N_BASE, block.d // self.K
+        off = a.copy()
+        off[1, db + 2] = 0.5
+        unequal = a.copy()
+        unequal[nb + 1, db + 1] += 1.0
+        for bad in (off, unequal):
+            with pytest.raises(DimensionError, match="I_3"):
+                LsProblem(bad, block.y, sketch_blocks=self.K)
+        with pytest.raises(DimensionError, match="split"):
+            LsProblem(np.hstack([a, np.zeros((a.shape[0], 1))]), block.y,
+                      sketch_blocks=self.K)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_wrong_length_reference_and_start(self, constrained):
+        block, flat = self._problems(constrained)
+        cfg = IhsConfig(SketchSpec("gaussian", self.M, 9), 2)
+        for prob in (block, flat):
+            with pytest.raises(DimensionError, match="reference"):
+                ihs_solve(prob, cfg, reference=np.zeros(prob.d + 1))
+            with pytest.raises(DimensionError):
+                ihs_solve(prob, replace(cfg, x0=np.zeros(prob.d - 1)))

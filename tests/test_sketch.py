@@ -122,16 +122,6 @@ def test_normalization_mean_sts(kind, draws):
     assert dev <= 0.05, f"{kind}: max entrywise deviation {dev:.4f}"
 
 
-def test_blocked_operator_is_kron():
-    spec = SketchSpec("gaussian", 3, 7)
-    op = build_sketch(spec, 12, blocks=3)
-    assert op.n_base == 4 and op.out_rows == 9
-    base = build_sketch(spec, 4).matrix
-    assert np.allclose(op.materialize(), np.kron(np.eye(3), base))
-    a = rng.standard_normal((12, 2))
-    assert np.allclose(op.apply(a), op.materialize() @ a)
-
-
 def test_oversampling_flagged_not_error():
     op = build_sketch(SketchSpec("gaussian", 9, 3), 4)
     assert op.oversampled
