@@ -381,6 +381,9 @@ def contraction_certificates_unconstrained(
     am = ensure_matrix(a, "A")
     xv = ensure_vector(x_ls, "x_ls")
     start = np.zeros_like(xv) if x_start is None else ensure_vector(x_start, "x_start")
+    for name, v in (("x_ls", xv), ("x_start", start)):
+        if v.shape[0] != am.shape[1]:
+            raise DimensionError(f"{name} has length {v.shape[0]}, A has {am.shape[1]} columns")
     return _round_certificates(op, _range_basis(am), am @ (xv - start))
 
 
@@ -416,7 +419,8 @@ def ihs_solve(
     m = 6d contracts at about 0.573 per round) or ``"tuned"`` (the
     Gaussian Wishart step, about 0.41 at m = 6d; see the module
     docstring). The ``fig2`` experiment runs ``"tuned"`` unless given
-    ``step="plain"``; the other runners and the CLI run ``"plain"``.
+    ``step="plain"``; the other runners run ``"plain"``, and the CLI
+    runs its ``--step`` option, ``"plain"`` by default.
     The certificates are measured against the mu that runs, so the
     bound ``err+ <= (Z2 / Z1) err`` holds for either step.
 

@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels.
 
 Row-major float64 arrays throughout. Provides the normalized fast
-Walsh-Hadamard transform, a thin SVD wrapper, a positive-definite
-solver that names the failing pivot, the largest eigenvalue of a
-symmetric matrix, and a power-iteration estimate of
-``lambda_max(B^T B)`` for when only the factor B is at hand.
+Walsh-Hadamard transform and a kernel that computes selected rows of
+it, a thin SVD wrapper, a positive-definite solver that names the
+failing pivot, the largest eigenvalue of a symmetric matrix, and a
+power-iteration estimate of ``lambda_max(B^T B)`` for when only the
+factor B is at hand.
 """
 
 from __future__ import annotations
@@ -72,6 +73,25 @@ def _factor_sizes(n: int) -> list:
     return [1 << (k // parts + (i < k % parts)) for i in range(parts)]
 
 
+def _as_columns(x):
+    """``x`` as a float64 matrix of columns, and whether it was 1-D."""
+    a = np.asarray(x, dtype=np.float64)
+    squeeze = a.ndim == 1
+    if squeeze:
+        a = a[:, None]
+    if a.ndim != 2:
+        raise DimensionError(f"input must be 1-D or 2-D, got ndim={a.ndim}")
+    return a, squeeze
+
+
+def _apply_factors(a, sizes, pre: int) -> np.ndarray:
+    """Apply ``H_{f1} (x) H_{f2} (x) ...`` to each of ``pre`` leading blocks of ``a``."""
+    for f in sizes:
+        a = np.matmul(_FACTORS[f], a.reshape(pre, f, -1))
+        pre *= f
+    return a
+
+
 def fwht_normalized(x) -> np.ndarray:
     """Apply the orthonormal Walsh-Hadamard transform along axis 0.
 
@@ -84,20 +104,79 @@ def fwht_normalized(x) -> np.ndarray:
     product over the input viewed as ``(pre, f, rest)``. The input is
     never modified.
     """
-    a = np.asarray(x, dtype=np.float64)
-    squeeze = a.ndim == 1
-    if squeeze:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise DimensionError(f"input must be 1-D or 2-D, got ndim={a.ndim}")
+    a, squeeze = _as_columns(x)
     n, cols = a.shape
     if n == 0 or n & (n - 1):
         raise PowerOfTwoError(f"transform length must be a power of two, got {n}")
-    out, pre = a, 1
-    for f in _factor_sizes(n):
-        out = np.matmul(_FACTORS[f], out.reshape(pre, f, n // (pre * f) * cols))
-        pre *= f
-    out = out.reshape(n, cols)
+    out = _apply_factors(a, _factor_sizes(n), 1).reshape(n, cols)
+    return out[:, 0] if squeeze else out
+
+
+def hadamard_rows(x, rows, signs) -> np.ndarray:
+    """Rows ``rows`` of ``H D x_pad``: the orthonormal Walsh-Hadamard
+    transform ``H`` of ``n_pad = len(signs)`` rows, after the diagonal
+    ``D = diag(signs)`` and zero padding of ``x`` to ``n_pad`` rows.
+
+    Equals ``fwht_normalized(signs[:, None] * x_pad)[rows]`` up to
+    rounding, for a vector or a matrix ``x`` of n <= ``n_pad`` rows,
+    ``n_pad`` a power of two and ``rows`` integers in ``[0, n_pad)``,
+    repeats allowed. Only what those rows need is computed. With
+    ``H = H_{f1} (x) H_blk`` (``blk = n_pad / f1``, row ``i = i1 blk + b``),
+    the inner factors ``H_blk`` transform only the ``nz = ceil(n / blk)``
+    leading blocks that hold data, and the outer factor ``H_{f1}`` only
+    the sampled ``(j1, b)`` pairs: the samples are grouped by ``b`` into
+    equal chunks padded with zero coefficients, and all chunks run as
+    one batched matrix product. For m rows of c columns this costs
+    about ``nz blk c (f2 + f3 + ...)`` multiply-adds for the inner
+    factors plus at most ``2 m nz c`` for the outer one, against
+    ``n_pad c (f1 + f2 + ...)`` for the full transform. It allocates
+    O((n + m) c) whatever the multiplicities of ``rows``: at most
+    ``blk - 1`` padding rows, ``2m`` chunk rows, and per chunk one
+    copy of the ``nz x c`` slice of the transformed blocks at its ``b``,
+    with at most twice as many chunks as groups. The input is never
+    modified.
+    """
+    a, squeeze = _as_columns(x)
+    dv = ensure_vector(signs, "signs")
+    n, cols = a.shape
+    n_pad = dv.shape[0]
+    if n_pad == 0 or n_pad & (n_pad - 1):
+        raise PowerOfTwoError(f"transform length must be a power of two, got {n_pad}")
+    if n > n_pad:
+        raise DimensionError(f"input has {n} rows, more than the transform length {n_pad}")
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise DimensionError("rows must be a 1-D integer array")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_pad):
+        raise DimensionError(f"rows must lie in [0, {n_pad})")
+    f1, *inner = _factor_sizes(n_pad)
+    blk = n_pad // f1
+    nz = -(-n // blk)
+    z = np.empty((nz * blk, cols))
+    np.multiply(dv[:n, None], a, out=z[:n])
+    z[n:] = 0.0
+    z = _apply_factors(z, inner, nz).reshape(nz, blk, cols)
+    # Group b's samples fill ceil(count_b / size) chunks of `size` rows:
+    # one chunk per group when that pads to at most 2m rows, else chunks
+    # of the mean group size. `where` is each sample's row in the chunks.
+    # The narrow sort key lets numpy sort by radix.
+    j1, b = np.divmod(idx, blk)
+    counts = np.bincount(b, minlength=blk)
+    groups = np.count_nonzero(counts)
+    size = max(1, int(counts.max()))
+    if groups * size > 2 * idx.size:
+        size = -(-idx.size // groups)
+    chunks = -(-counts // size)
+    order = np.argsort(b.astype(np.min_scalar_type(blk - 1)), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(idx.size)
+    where = (size * (np.cumsum(chunks) - chunks) - (np.cumsum(counts) - counts))[b] + rank
+    coef = np.zeros((chunks.sum() * size, nz))
+    coef[where] = _FACTORS[f1][j1, :nz]
+    zb = z.transpose(1, 0, 2)
+    if not np.all(chunks == 1):
+        zb = zb[np.repeat(np.arange(blk), chunks)]
+    out = np.matmul(coef.reshape(-1, size, nz), zb).reshape(-1, cols)[where]
     return out[:, 0] if squeeze else out
 
 

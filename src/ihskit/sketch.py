@@ -8,7 +8,10 @@ A sketch is a random m x n matrix S normalized so that
 * ``ros`` - randomized orthonormal system, rows sqrt(n_pad) e_j^T H D
   with H the orthonormal Hadamard matrix, D a random sign diagonal and
   j sampled uniformly with replacement (input rows are zero-padded to
-  the next power of two);
+  the next power of two). ``apply`` computes only the m sampled rows of
+  the transform and never transforms the zero padding
+  (:func:`~ihskit.linalg.hadamard_rows`); ``materialize`` forms the full
+  transform;
 * ``rowsample_uniform`` / ``rowsample_leverage`` - rows e_j / sqrt(p_j)
   sampled with replacement from a probability vector p.
 """
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
-from .linalg import ensure_matrix, ensure_vector, fwht_normalized, thin_svd
+from .linalg import ensure_matrix, ensure_vector, fwht_normalized, hadamard_rows, thin_svd
 from .seeding import derive_rng
 
 KINDS = ("gaussian", "rademacher", "ros", "rowsample_uniform", "rowsample_leverage")
@@ -80,11 +83,8 @@ class SketchOperator:
         if self.matrix is not None:
             return self.matrix @ am
         if self.kind == "ros":
-            npad = self.n_pad
-            padded = np.zeros((npad, am.shape[1]))
-            np.multiply(self.signs[: self.n, None], am, out=padded[: self.n])
-            rows = fwht_normalized(padded)[self.indices, :]
-            rows *= np.sqrt(npad)
+            rows = hadamard_rows(am, self.indices, self.signs)
+            rows *= np.sqrt(self.n_pad)
             return rows
         # row sampling
         scale = 1.0 / np.sqrt(self.probs[self.indices])

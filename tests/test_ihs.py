@@ -225,6 +225,15 @@ class TestCertificates:
         _, z2 = contraction_certificates_unconstrained(prob.A, op, x_ls, x_start=x_ls)
         assert z2 == 0.0
 
+    @pytest.mark.parametrize("arg", ["x_ls", "x_start"])
+    def test_wrong_length_vector_rejected(self, arg):
+        a = np.arange(10.0).reshape(5, 2)
+        op = build_sketch(SketchSpec("gaussian", 4, 14), 5)
+        vecs = {"x_ls": np.ones(2), "x_start": np.zeros(2)}
+        vecs[arg] = np.ones(3)
+        with pytest.raises(DimensionError, match=arg):
+            contraction_certificates_unconstrained(a, op, **vecs)
+
     def test_good_event_frequency_large_m(self):
         # epsilon(1/2) = {Z1 >= 0.5, Z2 <= 0.25} holds whp at m = 48 d
         d, n = 10, 400

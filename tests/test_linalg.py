@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ihskit.errors import PowerOfTwoError, SingularMatrixError
+from ihskit.errors import DimensionError, PowerOfTwoError, SingularMatrixError
 from ihskit.linalg import (
     estimate_opnorm_sq,
     fwht_normalized,
+    hadamard_rows,
     solve_psd,
     thin_svd,
     top_eigenvalue,
@@ -59,6 +60,63 @@ class TestFwht:
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(PowerOfTwoError):
             fwht_normalized(np.zeros(n))
+
+
+# a stream of its own, so that these tests leave the draws of the others as they were
+rows_rng = np.random.default_rng(102)
+
+
+def _padded_oracle(x, rows, signs):
+    """Rows of the full transform of the signed, zero-padded input."""
+    x2 = x[:, None] if x.ndim == 1 else x
+    padded = np.zeros((signs.shape[0], x2.shape[1]))
+    padded[: x2.shape[0]] = signs[: x2.shape[0], None] * x2
+    out = fwht_normalized(padded)[rows]
+    return out[:, 0] if x.ndim == 1 else out
+
+
+def _rel_dev(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestHadamardRows:
+    # n_pad = 1, 2 and 64 take one Hadamard factor, 128 and 4096 two,
+    # 16384 three; 63, 65, 1000 and 8193 leave zero padding
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 4096, 8193])
+    def test_matches_padded_transform(self, n):
+        n_pad = 1 << max(n - 1, 0).bit_length()
+        signs = rows_rng.choice([-1.0, 1.0], size=n_pad)
+        x = rows_rng.standard_normal((n, 3))
+        rows = rows_rng.integers(0, n_pad, size=max(1, n // 3))
+        assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
+
+    def test_vector_input(self):
+        signs = rows_rng.choice([-1.0, 1.0], size=1024)
+        x = rows_rng.standard_normal(1000)
+        rows = rows_rng.integers(0, 1024, size=40)
+        out = hadamard_rows(x, rows, signs)
+        assert out.shape == (40,)
+        assert _rel_dev(out, _padded_oracle(x, rows, signs)) <= 1e-13
+
+    def test_input_unmodified(self):
+        signs = rows_rng.choice([-1.0, 1.0], size=256)
+        x = rows_rng.standard_normal((200, 3))
+        rows = rows_rng.integers(0, 256, size=50)
+        x_before, signs_before, rows_before = x.copy(), signs.copy(), rows.copy()
+        hadamard_rows(x, rows, signs)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(signs, signs_before)
+        assert np.array_equal(rows, rows_before)
+
+    def test_rejects_bad_shapes(self):
+        x = np.zeros((5, 2))
+        with pytest.raises(PowerOfTwoError):
+            hadamard_rows(x, [0], np.ones(6))
+        with pytest.raises(DimensionError):
+            hadamard_rows(x, [0], np.ones(4))
+        for rows in ([8], [-1], [0.5], [[0]]):
+            with pytest.raises(DimensionError):
+                hadamard_rows(x, rows, np.ones(8))
 
 
 class TestThinSvd:

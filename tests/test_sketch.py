@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ihskit.errors import DimensionError, MissingHintError, RankDeficiencyError
+from ihskit.experiments import gen_sparse
+from ihskit.ihs import IhsConfig, ihs_solve
+from ihskit.linalg import _factor_sizes, fwht_normalized
 from ihskit.sketch import (
     KINDS,
+    SketchOperator,
     SketchSpec,
     alpha_balance,
     build_sketch,
@@ -12,6 +20,7 @@ from ihskit.sketch import (
     leverage_scores,
     verify_projection_condition,
 )
+from ihskit.subsolver import SolverControls
 
 rng = np.random.default_rng(2024)
 
@@ -96,6 +105,96 @@ def test_ros_fast_path_equals_materialized(n, d):
     fast = op.apply(a)
     dense = op.materialize() @ a
     assert np.max(np.abs(fast - dense)) <= 1e-10
+
+
+# a stream of its own, so that these tests leave the draws of the others as they were
+ros_rng = np.random.default_rng(2025)
+
+
+def _ros_full_transform(op, a):
+    """ROS rows through the full transform of the signed, zero-padded input."""
+    padded = np.zeros((op.n_pad, a.shape[1]))
+    padded[: op.n] = op.signs[: op.n, None] * a
+    return np.sqrt(op.n_pad) * fwht_normalized(padded)[op.indices]
+
+
+def _rel_dev(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# one, two and three Hadamard factors, with and without zero padding
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 4096, 8193])
+def test_ros_apply_matches_full_transform(n):
+    op = build_sketch(SketchSpec("ros", max(1, n // 4), 41, stream=(n,)), n)
+    a = ros_rng.standard_normal((n, 3))
+    before = a.copy()
+    assert _rel_dev(op.apply(a), _ros_full_transform(op, a)) <= 1e-13
+    assert np.array_equal(a, before)
+
+
+def test_ros_apply_vec_matches_full_transform():
+    op = build_sketch(SketchSpec("ros", 50, 43), 1000)
+    y = ros_rng.standard_normal(1000)
+    before = y.copy()
+    out = op.apply_vec(y)
+    assert out.shape == (50,)
+    assert _rel_dev(out, _ros_full_transform(op, y[:, None])[:, 0]) <= 1e-13
+    assert np.array_equal(y, before)
+
+
+def test_ros_apply_oversampled_with_repeated_rows():
+    op = build_sketch(SketchSpec("ros", 300, 47), 65)
+    assert op.m > op.n_pad and np.unique(op.indices).size < op.m
+    a = ros_rng.standard_normal((65, 4))
+    assert _rel_dev(op.apply(a), _ros_full_transform(op, a)) <= 1e-13
+
+
+def test_ros_apply_all_rows_in_one_inner_group():
+    # 5000 rows pad to 8192 = 32 x 256: rows 7 + 256 j share inner index 7
+    assert _factor_sizes(8192)[0] == 32
+    op = SketchOperator(kind="ros", n=5000, m=300, signs=ros_rng.choice([-1.0, 1.0], size=8192),
+                        indices=7 + 256 * ros_rng.integers(0, 32, size=300))
+    a = ros_rng.standard_normal((5000, 2))
+    assert _rel_dev(op.apply(a), _ros_full_transform(op, a)) <= 1e-13
+
+
+def test_ros_ihs_l1_matches_explicit_operator():
+    # rounds solved far below the default 1e-10 tolerance, so that the
+    # iterates differ by the rounding of the two operators, not by where
+    # the inner solver happened to stop
+    prob = gen_sparse(1000, 20, 4, 1.0, 53)
+    spec = SketchSpec("ros", 160, 59)
+    cfg = IhsConfig(spec, 6, inner=SolverControls(tol=1e-13), inner_schedule="fixed")
+    fast = ihs_solve(prob, cfg)
+    dense = ihs_solve(prob, cfg, operator_factory=lambda t: explicit_sketch(
+        build_sketch(spec.for_round(t), prob.n).materialize()))
+    assert all(fast.round_converged) and all(dense.round_converged)
+    for got, want in zip(fast.iterates[1:], dense.iterates[1:]):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+_THREADED_SOLVE = """
+import sys
+from ihskit.experiments import gen_sparse
+from ihskit.ihs import IhsConfig, ihs_solve
+from ihskit.sketch import SketchSpec
+prob = gen_sparse(3000, 64, 8, 1.0, 61)
+rep = ihs_solve(prob, IhsConfig(SketchSpec("ros", 500, 67), 4))
+sys.stdout.write(rep.x.tobytes().hex())
+"""
+
+
+def test_ros_ihs_bit_identical_across_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("kind", KINDS[:4])
