@@ -35,7 +35,6 @@ from .experiments import (
     write_text_atomic,
 )
 from .ihs import (
-    STEPS,
     IhsConfig,
     LsProblem,
     classical_sketch_solve,
@@ -291,10 +290,6 @@ def _recommended_m(problem, p) -> int:
 @click.option("--m", type=int, default=None, help="Sketch dimension per round.")
 @click.option("--rounds", type=int, default=8, show_default=True,
               help="Iteration count for --method ihs.")
-@click.option("--step", type=click.Choice(STEPS), default="plain", show_default=True,
-              help="Unconstrained update of --method ihs: plain (mu = 1) or tuned (the "
-                   "Gaussian Wishart step, which contracts at about 0.41 per round at the "
-                   "recommended m = 6d, where plain gives about 0.57).")
 @click.option("--rho", type=click.FloatRange(0.0, 0.5, min_open=True), default=0.5,
               show_default=True, help="Target contraction used when --m is derived automatically.")
 @click.option("--c0", type=float, default=1.5, show_default=True,
@@ -319,7 +314,7 @@ def _recommended_m(problem, p) -> int:
               help="Flat key = value config file; flags override.")
 @click.pass_context
 def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json,
-          method, kind, m, rounds, step, rho, c0, seed, inner_tol, inner_max_iter,
+          method, kind, m, rounds, rho, c0, seed, inner_tol, inner_max_iter,
           no_acceleration, reference, certificates, out_prefix, timings, config):
     """Solve one least-squares problem with the chosen method."""
     _apply_config(ctx, config)
@@ -349,7 +344,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
         else:
             try:
-                cfg = IhsConfig(spec, p["rounds"], inner=ctl, step=p["step"],
+                cfg = IhsConfig(spec, p["rounds"], inner=ctl, step="tuned",
                                 collect_certificates=p["certificates"])
             except ValueError as exc:
                 raise click.UsageError(str(exc)) from exc

@@ -419,8 +419,8 @@ def ihs_solve(
     m = 6d contracts at about 0.573 per round) or ``"tuned"`` (the
     Gaussian Wishart step, about 0.41 at m = 6d; see the module
     docstring). The ``fig2`` experiment runs ``"tuned"`` unless given
-    ``step="plain"``; the other runners run ``"plain"``, and the CLI
-    runs its ``--step`` option, ``"plain"`` by default.
+    ``step="plain"``; the other runners run ``"plain"``, and ``ihskit
+    solve`` runs ``"tuned"``.
     The certificates are measured against the mu that runs, so the
     bound ``err+ <= (Z2 / Z1) err`` holds for either step.
 

@@ -87,29 +87,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "--rho" in err and "0<x<=0.5" in err
 
-    def test_unknown_step_is_usage_error(self, capsys):
-        code = run(["solve", "--method", "ihs", "--step", "bogus",
-                    "--generate", "unconstrained", "--n", "100", "--d", "5", "--seed", "1"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--step" in err and "tuned" in err
-
-    def test_tuned_step_beats_plain_at_recommended_m(self, tmp_path, capsys):
-        # with --m omitted the problem gets m = 6d, where the tuned step
-        # contracts at about 0.41 per round and the plain one at about 0.57
+    def test_recommended_m_contracts_below_rho(self, tmp_path, capsys):
+        # with --m omitted the problem gets m = 6d from the recommender at
+        # rho = 1/2; the tuned step contracts at about 0.41 per round there
         gen = ["--generate", "unconstrained", "--n", "1200", "--d", "20", "--seed", "9"]
         assert run(["solve", "--method", "exact", *gen]) == 0
         ref = tmp_path / "x_ls.csv"
         ref.write_text(capsys.readouterr().out)
-        final = {}
-        for step in ("plain", "tuned"):
-            code = run(["solve", "--method", "ihs", "--rounds", "6", "--step", step,
-                        "--reference", ref, *gen])
-            assert code == 0
-            out = capsys.readouterr()
-            assert "m = 120" in out.err
-            final[step] = float(out.out.rsplit(":", 1)[1])
-        assert final["tuned"] < final["plain"]
+        prefix = str(tmp_path / "run")
+        code = run(["solve", "--method", "ihs", "--rounds", "6", "--reference", ref,
+                    "--out", prefix, *gen])
+        assert code == 0
+        assert "m = 120" in capsys.readouterr().err
+        errs = json.loads((tmp_path / "run_report.json").read_text())["errors_to_reference"]
+        assert (errs[-1] / errs[0]) ** (1 / 6) < 0.5
 
     def test_constrained_solve_respects_constraint(self, problem_files, capsys):
         a, y = problem_files
@@ -212,21 +203,6 @@ class TestConfigFile:
         second = capsys.readouterr().out
         assert len(first.split()) == 3
         assert len(second.split()) == 2
-
-    def test_config_sets_step(self, tmp_path, capsys):
-        gen = ["--method", "ihs", "--generate", "unconstrained", "--n", "300", "--d", "6",
-               "--seed", "4", "--rounds", "3"]
-        outs = {}
-        for step in ("plain", "tuned"):
-            assert run(["solve", *gen, "--step", step]) == 0
-            outs[step] = capsys.readouterr().out
-        cfg = tmp_path / "run.toml"
-        cfg.write_text('step = "tuned"\n')
-        assert run(["solve", *gen, "--config", cfg]) == 0
-        assert capsys.readouterr().out == outs["tuned"] != outs["plain"]
-        cfg.write_text('step = "bogus"\n')
-        assert run(["solve", *gen, "--config", cfg]) == 1
-        capsys.readouterr()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
