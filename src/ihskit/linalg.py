@@ -124,17 +124,17 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
     ``H = H_{f1} (x) H_blk`` (``blk = n_pad / f1``, row ``i = i1 blk + b``),
     the inner factors ``H_blk`` transform only the ``nz = ceil(n / blk)``
     leading blocks that hold data, and the outer factor ``H_{f1}`` only
-    the sampled ``(j1, b)`` pairs: the samples are grouped by ``b`` into
-    equal chunks padded with zero coefficients, and all chunks run as
-    one batched matrix product. For m rows of c columns this costs
+    the distinct sampled ``(j1, b)`` pairs: the pairs are grouped by
+    ``b``, each group padded with zero coefficients to the size ``s`` of
+    the largest (``s <= f1``), and all groups run as one batched matrix
+    product. For m rows of c columns spread over g groups this costs
     about ``nz blk c (f2 + f3 + ...)`` multiply-adds for the inner
-    factors plus at most ``2 m nz c`` for the outer one, against
+    factors plus ``g s nz c <= n_pad nz c`` for the outer one, against
     ``n_pad c (f1 + f2 + ...)`` for the full transform. It allocates
-    O((n + m) c) whatever the multiplicities of ``rows``: at most
-    ``blk - 1`` padding rows, ``2m`` chunk rows, and per chunk one
-    copy of the ``nz x c`` slice of the transformed blocks at its ``b``,
-    with at most twice as many chunks as groups. The input is never
-    modified.
+    ``(nz blk + g s + m) c`` floats for the blocks, the padded products
+    and the result, with ``g s <= min(n_pad, g f1)``, so at most
+    ``O((n_pad + m) c)`` whatever the multiplicities of ``rows``. The
+    input is never modified.
     """
     a, squeeze = _as_columns(x)
     dv = ensure_vector(signs, "signs")
@@ -156,27 +156,21 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
     np.multiply(dv[:n, None], a, out=z[:n])
     z[n:] = 0.0
     z = _apply_factors(z, inner, nz).reshape(nz, blk, cols)
-    # Group b's samples fill ceil(count_b / size) chunks of `size` rows:
-    # one chunk per group when that pads to at most 2m rows, else chunks
-    # of the mean group size. `where` is each sample's row in the chunks.
-    # The narrow sort key lets numpy sort by radix.
+    # Distinct pairs sorted by b, then j1; `slot` is each pair's row in
+    # the padded groups, `inv` each sample's pair.
     j1, b = np.divmod(idx, blk)
-    counts = np.bincount(b, minlength=blk)
-    groups = np.count_nonzero(counts)
+    pairs, inv = np.unique(b * f1 + j1, return_inverse=True)
+    pb, pj1 = np.divmod(pairs, f1)
+    counts = np.bincount(pb, minlength=blk)
+    occupied = counts > 0
     size = max(1, int(counts.max()))
-    if groups * size > 2 * idx.size:
-        size = -(-idx.size // groups)
-    chunks = -(-counts // size)
-    order = np.argsort(b.astype(np.min_scalar_type(blk - 1)), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(idx.size)
-    where = (size * (np.cumsum(chunks) - chunks) - (np.cumsum(counts) - counts))[b] + rank
-    coef = np.zeros((chunks.sum() * size, nz))
-    coef[where] = _FACTORS[f1][j1, :nz]
+    slot = (size * (np.cumsum(occupied) - 1) - (np.cumsum(counts) - counts))[pb] + np.arange(pairs.size)
+    coef = np.zeros((np.count_nonzero(occupied) * size, nz))
+    coef[slot] = _FACTORS[f1][pj1, :nz]
     zb = z.transpose(1, 0, 2)
-    if not np.all(chunks == 1):
-        zb = zb[np.repeat(np.arange(blk), chunks)]
-    out = np.matmul(coef.reshape(-1, size, nz), zb).reshape(-1, cols)[where]
+    if not occupied.all():
+        zb = zb[occupied]
+    out = np.matmul(coef.reshape(-1, size, nz), zb).reshape(-1, cols)[slot[inv]]
     return out[:, 0] if squeeze else out
 
 
