@@ -68,12 +68,33 @@ against 0.44-0.46 for exact solves and 0.34 for exact solves damped by
 the best constant of each round (about 0.77). To a relative error of
 1e-8 that took 16-18 rounds, against 24-25 exact and 19 at a constant
 damping of 0.8.
+
+A round's sketch does not depend on the iterate, so ``ihs_solve``
+draws and applies it ahead of time: rounds t+1 and t+2 are drawn,
+applied to A and reduced to their Gram matrices on a pool of two worker
+threads that every solve shares, while the calling thread forms the
+gradient and solves round t. numpy's random fill and BLAS release the
+interpreter lock, so the draws run on two cores. Each round's stream is
+fixed by ``(seed, t)``, so the output is bit-identical to drawing the
+rounds in turn. A fixed ``operator_factory(t)`` must therefore be a pure
+function of t: it is called on a worker thread, up to two rounds before
+round t is solved. One solve runs one ``apply`` at a time, which bounds
+its transient memory to that of a single apply. A solve that collects
+certificates keeps each operator until its round is solved and draws
+one round ahead, so it holds two operators at a time, as drawing in
+turn does. Small rounds, with fewer than ``POOL_MIN_ENTRIES`` entries in
+the sketch and A, take the same steps in the same order on the calling
+thread, where a worker would cost more in hand-offs than it saves.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -107,6 +128,38 @@ INNER_SCHEDULES = ("tracking", "fixed")
 # 1e-8 on lowrank_nuclear, and 13.6, 12.2, 11.0 and 15.6 on lasso_ros.
 # At 0.1 the median round stops after a single inner iteration.
 TRACKING_FACTOR = 0.01
+
+# Rounds whose sketch is drawn and applied ahead of the round being
+# solved, one on each worker of the shared pool.
+LOOKAHEAD = 2
+
+# Rounds whose sketch and A_base hold fewer entries than this,
+# n_base (m + d_base), draw and apply on the calling thread instead.
+# Their iterate-free part takes a few hundred microseconds, most of it in
+# the interpreter, so a worker overlaps little of it and costs the
+# calling thread interpreter-lock hand-offs. On perfbench's
+# lowrank_nuclear (120 x 12, m = 72: 10080 entries; 2 cores, one BLAS
+# thread) the pool made time_to_target_s 8% and setup_s 12% slower
+# (medians of 13 pairs of runs). The smallest perfbench workload above
+# the threshold, ls_gaussian, has 688128.
+POOL_MIN_ENTRIES = 1 << 16
+
+_pool_lock = threading.Lock()
+_pool: Optional[Tuple[int, ThreadPoolExecutor]] = None
+
+
+def _sketch_pool() -> ThreadPoolExecutor:
+    """The worker pool that every solve shares.
+
+    It is created on first use, so importing the package starts no
+    thread, and again in a forked child, which inherits the pool object
+    but none of its threads.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), ThreadPoolExecutor(LOOKAHEAD, thread_name_prefix="ihskit"))
+        return _pool[1]
 
 
 @dataclass
@@ -238,6 +291,12 @@ class IhsReport:
     entry is the feasible starting point); timings, certificates,
     convergence flags and inner iteration counts (0 for unconstrained
     rounds) have one entry per round.
+
+    ``per_round_seconds`` is the calling thread's time per round: its
+    wait for the round's sketched Gram, drawn ahead on a worker thread,
+    plus its solve of the round. A small round, drawn on the calling
+    thread (see ``POOL_MIN_ENTRIES``), counts the draw of the round two
+    ahead instead of a wait. The sum is about the solve's wall time.
     """
 
     iterates: List[np.ndarray]
@@ -397,6 +456,37 @@ def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> 
     return (m - d) * (m - d - 3) / (m * (m - 1))
 
 
+class _CallingThread:
+    """Runs each submitted call at once on the calling thread."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:        # raised when the round is taken, as from the pool
+            fut.set_exception(exc)
+        return fut
+
+
+def _sketched_gram(draw, t: int, a: np.ndarray, n: int, apply_lock: threading.Lock,
+                   keep_op: bool):
+    """The iterate-free part of round t, run on a pool worker (or, for
+    a small round, on the calling thread).
+
+    Draws the operator, applies it to A under the solve's ``apply_lock``
+    (so that one solve holds one apply's transients at a time) and forms
+    the Gram of ``B = S A / sqrt(n m)``. Returns ``(op, G)``, the
+    operator only when certificates need it and None otherwise; B is
+    freed here, since the rounds read only G.
+    """
+    op = draw(t)
+    with apply_lock:
+        b = op.apply(a)
+    b /= math.sqrt(n * op.m)
+    return (op if keep_op else None), b.T @ b
+
+
 def ihs_solve(
     problem: LsProblem,
     config: IhsConfig,
@@ -412,7 +502,12 @@ def ihs_solve(
     recorded, and certificates as well if requested and the problem is
     unconstrained. ``operator_factory(t)`` overrides the draw of round
     t (1-based) with a fixed realized sketch, of n/k rows on a block
-    problem.
+    problem. It must be a pure function of t: it is called on a worker
+    thread of the shared pool, up to two rounds before round t is
+    solved (see the module docstring), and an exception it or the
+    operator's ``apply`` raises reaches the caller unchanged. A
+    singular sketched Gram in an unconstrained round raises
+    :class:`RankDeficiencyError`.
 
     ``config.step`` selects the unconstrained update ``x+ = G^-1 (G x +
     mu grad)``: ``"plain"`` (mu = 1, the default; a Gaussian sketch at
@@ -435,48 +530,73 @@ def ihs_solve(
     x = project_iterate(cset, _unflatten(problem, x0, "x0"))
 
     mu = _step_scale(problem, config, operator_factory is not None)
-    want_certs = (
-        config.collect_certificates and ref is not None and isinstance(cset, Unconstrained)
-    )
+    unconstrained = isinstance(cset, Unconstrained)
+    want_certs = config.collect_certificates and ref is not None and unconstrained
     u_basis = _range_basis(a) if want_certs else None
 
-    lev = _leverage_for(a, config.spec)
+    if operator_factory is not None:
+        draw = operator_factory
+    else:
+        lev = _leverage_for(a, config.spec)
+
+        def draw(t):
+            return build_sketch(config.spec.for_round(t), a.shape[0], leverage_p=lev)
+
     xs = [x]
     seconds: List[float] = []
     certs: Optional[List[Tuple[float, float]]] = [] if want_certs else None
     flags: List[bool] = []
     inner_iters: List[int] = []
 
-    for t in range(1, config.rounds + 1):
-        tic = time.perf_counter()
-        if operator_factory is not None:
-            op = operator_factory(t)
-        else:
-            op = build_sketch(config.spec.for_round(t), a.shape[0], leverage_p=lev)
-        if want_certs:
-            certs.append(_round_certificates(op, u_basis, a @ (ref - x), mu))
-        sa = op.apply(a)
-        b = sa / math.sqrt(n * op.m)
-        gram = b.T @ b
-        c = gram @ x + mu * (a.T @ (y - a @ x) / n)
-        if isinstance(cset, Unconstrained):
-            x = solve_psd(gram, c)
-            converged, iters = True, 0
-        else:
-            lam = top_eigenvalue(gram)
-            ctl = config.inner
-            if config.inner_schedule == "tracking" and t >= 2:
-                outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
-                tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
-                if tol > ctl.resolve_tol(c):
-                    ctl = replace(ctl, tol=tol)
-            q = SketchedQuadratic(b, c, cset, G=gram)
-            res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
-            x, converged, iters = res.x, res.converged, res.iterations
-        seconds.append(time.perf_counter() - tic)
-        flags.append(converged)
-        inner_iters.append(iters)
-        xs.append(x)
+    if a.shape[0] * (config.spec.m + a.shape[1]) >= POOL_MIN_ENTRIES:
+        pool = _sketch_pool()
+    else:
+        pool = _CallingThread()
+    apply_lock = threading.Lock()
+    ahead: deque = deque()
+    # a round with certificates keeps its operator until it is solved, so
+    # draw one round ahead then: two operators live at a time, not three
+    depth = 1 if want_certs else LOOKAHEAD
+
+    def draw_ahead(t):
+        if t <= config.rounds:
+            ahead.append(pool.submit(_sketched_gram, draw, t, a, n, apply_lock, want_certs))
+
+    try:
+        for t in range(1, depth + 1):
+            draw_ahead(t)
+        for t in range(1, config.rounds + 1):
+            tic = time.perf_counter()
+            op, gram = ahead.popleft().result()
+            draw_ahead(t + depth)
+            if want_certs:
+                with apply_lock:
+                    certs.append(_round_certificates(op, u_basis, a @ (ref - x), mu))
+            c = gram @ x + mu * (a.T @ (y - a @ x) / n)
+            q = SketchedQuadratic(None, c, cset, G=gram)
+            if unconstrained:
+                x = solve_unconstrained(q)
+                converged, iters = True, 0
+            else:
+                lam = top_eigenvalue(gram)
+                ctl = config.inner
+                if config.inner_schedule == "tracking" and t >= 2:
+                    outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
+                    tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
+                    if tol > ctl.resolve_tol(c):
+                        ctl = replace(ctl, tol=tol)
+                res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
+                x, converged, iters = res.x, res.converged, res.iterations
+            del op, gram, q     # free this round's Gram before taking the next
+            seconds.append(time.perf_counter() - tic)
+            flags.append(converged)
+            inner_iters.append(iters)
+            xs.append(x)
+    finally:
+        # after a failure no round of this solve is left queued or running
+        for fut in ahead:
+            fut.cancel()
+        wait(ahead)
 
     iterates = [v.flatten(order="F") for v in xs]
 

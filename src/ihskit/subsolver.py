@@ -31,20 +31,25 @@ class SketchedQuadratic:
 
     ``G`` is the Gram matrix ``B^T B``. A caller that has formed it
     already passes it in; otherwise it is formed once at construction.
+    The solvers read only G, so a caller holding G may pass ``B=None``
+    and free B.
     """
 
-    B: np.ndarray
+    B: Optional[np.ndarray]
     c: np.ndarray
     set: ConstraintSet = field(default_factory=Unconstrained)
     G: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.B = ensure_matrix(self.B, "B")
+        if self.B is not None:
+            self.B = ensure_matrix(self.B, "B")
+        elif self.G is None:
+            raise ValueError("SketchedQuadratic needs B or its Gram matrix G")
         self.c = (ensure_vector if np.ndim(self.c) == 1 else ensure_matrix)(self.c, "c")
-        d = self.B.shape[1]
+        self.G = self.gram() if self.G is None else ensure_matrix(self.G, "G")
+        d = (self.G if self.B is None else self.B).shape[1]
         if d != self.c.shape[0]:
             raise DimensionError(f"B has {d} columns but c has length {self.c.shape[0]}")
-        self.G = self.gram() if self.G is None else ensure_matrix(self.G, "G")
         if self.G.shape != (d, d):
             raise DimensionError(f"G is {self.G.shape}, expected ({d}, {d})")
 
@@ -52,8 +57,7 @@ class SketchedQuadratic:
         return self.B.T @ self.B
 
     def value(self, x: np.ndarray) -> float:
-        bx = self.B @ x
-        return 0.5 * float(np.vdot(bx, bx)) - float(np.vdot(self.c, x))
+        return 0.5 * float(np.vdot(x, self.G @ x)) - float(np.vdot(self.c, x))
 
 
 @dataclass

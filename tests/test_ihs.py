@@ -1,10 +1,18 @@
+import json
+import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ihskit.constraints import Box, L1Ball, Unconstrained, contains
-from ihskit.errors import DimensionError, MissingHintError
+from ihskit.errors import DimensionError, MissingHintError, RankDeficiencyError
 from ihskit.experiments import gen_lowrank, gen_sparse, gen_unconstrained
 from ihskit.ihs import (
     IhsConfig,
@@ -17,15 +25,17 @@ from ihskit.ihs import (
     recommend_sketch_size,
     solve_exact,
 )
+from ihskit.linalg import solve_psd, top_eigenvalue
 from ihskit.sketch import (
     KINDS,
+    SketchOperator,
     SketchSpec,
     build_sketch,
     explicit_sketch,
     identity_sketch,
     leverage_scores,
 )
-from ihskit.subsolver import SolverControls
+from ihskit.subsolver import SketchedQuadratic, SolverControls, solve_constrained
 
 rng = np.random.default_rng(55)
 
@@ -181,8 +191,15 @@ class TestIhsSolve:
     def test_rank_deficient_round_raises(self):
         prob = gen_unconstrained(100, 10, 1.0, 41)
         cfg = IhsConfig(SketchSpec("gaussian", 5, 10), rounds=1)  # m < d
-        with pytest.raises(Exception):
+        with pytest.raises(RankDeficiencyError, match="sketch size m"):
             ihs_solve(prob, cfg)
+
+    def test_zero_sketch_raises_rank_deficiency(self):
+        prob = gen_unconstrained(60, 4, 1.0, 41)
+        zero = explicit_sketch(np.zeros((20, 60)))
+        with pytest.raises(RankDeficiencyError, match="sketch size m"):
+            ihs_solve(prob, IhsConfig(SketchSpec("gaussian", 20, 10), rounds=2),
+                      operator_factory=lambda t: zero)
 
     def test_block_problem_matches_paper_sketch(self):
         # stacked multi-response problem: block sketch keeps IHS near exact
@@ -192,6 +209,164 @@ class TestIhsSolve:
         rep = ihs_solve(prob, cfg, reference=x_ls)
         assert rep.errors_to_ls[-1] <= 0.1 * prob.seminorm(x_ls)
         assert contains(prob.set, rep.x, tol=1e-9)
+
+
+def _serial_ihs(prob, config):
+    """Reference loop: draw, apply and solve every round in turn on the
+    calling thread."""
+    a, y, n, m, d = prob.A, prob.y, prob.n, config.spec.m, prob.d
+    unconstrained = isinstance(prob.set, Unconstrained)
+    mu = 1.0
+    if config.step == "tuned" and unconstrained and config.spec.kind == "gaussian":
+        mu = (m - d) * (m - d - 3) / (m * (m - 1))
+    x = np.zeros(d)
+    xs = [x]
+    for t in range(1, config.rounds + 1):
+        op = build_sketch(config.spec.for_round(t), n)
+        b = op.apply(a) / math.sqrt(n * op.m)
+        gram = b.T @ b
+        c = gram @ x + mu * (a.T @ (y - a @ x) / n)
+        if unconstrained:
+            x = solve_psd(gram, c)
+        else:
+            x = solve_constrained(SketchedQuadratic(b, c, prob.set, G=gram), x0=x,
+                                  ctl=config.inner, lam_max=top_eigenvalue(gram)).x
+        xs.append(x)
+    return xs
+
+
+def _solve_in_child(prob, cfg, queue):
+    queue.put(ihs_solve(prob, cfg).x.tobytes())
+
+
+class _CountingOperator(SketchOperator):
+    """An explicit sketch that records how many of its applies overlap."""
+
+    active = 0
+    most = 0
+    guard = threading.Lock()
+
+    def apply(self, a):
+        cls = type(self)
+        with cls.guard:
+            cls.active += 1
+            cls.most = max(cls.most, cls.active)
+        try:
+            time.sleep(0.002)
+            return super().apply(a)
+        finally:
+            with cls.guard:
+                cls.active -= 1
+
+
+class TestRoundPipeline:
+    """Rounds are drawn and applied ahead on the shared worker pool."""
+
+    @pytest.fixture(autouse=True)
+    def _pool_for_every_size(self, monkeypatch):
+        import ihskit.ihs as ihs_mod
+
+        monkeypatch.setattr(ihs_mod, "POOL_MIN_ENTRIES", 0)
+
+    @pytest.mark.parametrize("case", ["gaussian_tuned", "ros_l1"])
+    def test_matches_serial_loop_bit_for_bit(self, case):
+        if case == "gaussian_tuned":
+            prob = gen_unconstrained(600, 12, 1.0, 211)
+            cfg = IhsConfig(SketchSpec("gaussian", 72, 13), 6, step="tuned")
+        else:
+            prob = gen_sparse(700, 16, 4, 1.0, 223)
+            cfg = IhsConfig(SketchSpec("ros", 120, 17), 6, inner_schedule="fixed")
+        rep = ihs_solve(prob, cfg)
+        want = _serial_ihs(prob, cfg)
+        assert len(rep.iterates) == len(want)
+        for got, ref in zip(rep.iterates, want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_operator_error_propagates_and_next_solve_succeeds(self, pooled, monkeypatch):
+        import ihskit.ihs as ihs_mod
+
+        if not pooled:
+            monkeypatch.setattr(ihs_mod, "POOL_MIN_ENTRIES", 1 << 62)
+        prob = gen_unconstrained(120, 5, 1.0, 227)
+        spec = SketchSpec("gaussian", 30, 19)
+
+        def factory(t):
+            if t == 3:
+                return explicit_sketch(np.ones((30, prob.n + 1)))
+            return build_sketch(spec.for_round(t), prob.n)
+
+        with pytest.raises(DimensionError, match="expects 121 rows"):
+            ihs_solve(prob, IhsConfig(spec, 5), operator_factory=factory)
+        rep = ihs_solve(prob, IhsConfig(spec, 5))
+        assert np.array_equal(rep.iterates[2], ihs_solve(prob, IhsConfig(spec, 2)).x)
+
+    @pytest.mark.parametrize("certificates", [False, True])
+    def test_applies_of_one_solve_never_overlap(self, certificates):
+        # two rounds ahead both workers apply; with certificates (one round
+        # ahead) the calling thread applies each operator as well
+        prob = gen_unconstrained(200, 6, 1.0, 229)
+        spec = SketchSpec("gaussian", 40, 23)
+        _CountingOperator.most = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rep = ihs_solve(prob, IhsConfig(spec, 8, collect_certificates=certificates),
+                            reference=solve_exact(prob),
+                            operator_factory=lambda t: _CountingOperator(
+                                "gaussian", prob.n, spec.m,
+                                matrix=build_sketch(spec.for_round(t), prob.n).matrix))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rep.iterates) == 9 and (rep.certificates is not None) == certificates
+        assert _CountingOperator.most == 1
+
+    def test_pool_threads_bounded_over_many_solves(self):
+        prob = gen_sparse(150, 6, 2, 1.0, 233)
+        ihs_solve(prob, IhsConfig(SketchSpec("ros", 30, 1), 3))
+        before = threading.active_count()
+        for seed in range(20):
+            ihs_solve(prob, IhsConfig(SketchSpec("ros", 30, seed), 3))
+        assert threading.active_count() <= before + 2
+
+    def test_threads_start_with_the_first_pooled_solve(self):
+        # import starts no thread, nor does a solve below POOL_MIN_ENTRIES
+        script = (
+            "import threading\n"
+            "import ihskit\n"
+            "from ihskit.experiments import gen_unconstrained\n"
+            "counts = [threading.active_count()]\n"
+            "for n in (200, 2000):  # n (m + d) = 9200 and 92000\n"
+            "    prob = gen_unconstrained(n, 6, 1.0, 5)\n"
+            "    ihskit.ihs_solve(prob, ihskit.IhsConfig(ihskit.SketchSpec('gaussian', 40, 1), 3))\n"
+            "    counts.append(threading.active_count())\n"
+            "print(counts)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        counts = json.loads(res.stdout)
+        # a worker that is idle again by the next submission takes it too
+        assert counts[:2] == [1, 1] and 2 <= counts[2] <= 3
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_solves_after_parent(self):
+        prob = gen_unconstrained(300, 8, 1.0, 239)
+        cfg = IhsConfig(SketchSpec("gaussian", 48, 29), 4)
+        want = ihs_solve(prob, cfg).x
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_solve_in_child, args=(prob, cfg, queue))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == want.tobytes()
 
 
 class TestCertificates:

@@ -173,13 +173,21 @@ def test_ros_ihs_l1_matches_explicit_operator():
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+# The Gaussian solve has the shape of the perfbench ls_gaussian workload.
+# At other shapes, such as 3000 x 64 with m = 384, OpenBLAS's one-thread
+# and threaded matrix products already round S A differently (an open
+# item in ROADMAP.md), so that case checks that drawing rounds on worker
+# threads adds no dependence on the thread count of its own.
 _THREADED_SOLVE = """
 import sys
-from ihskit.experiments import gen_sparse
+from ihskit.experiments import gen_sparse, gen_unconstrained
 from ihskit.ihs import IhsConfig, ihs_solve
 from ihskit.sketch import SketchSpec
 prob = gen_sparse(3000, 64, 8, 1.0, 61)
 rep = ihs_solve(prob, IhsConfig(SketchSpec("ros", 500, 67), 4))
+sys.stdout.write(rep.x.tobytes().hex() + " ")
+prob = gen_unconstrained(2048, 48, 1.0, 71)
+rep = ihs_solve(prob, IhsConfig(SketchSpec("gaussian", 288, 73), 6, step="tuned"))
 sys.stdout.write(rep.x.tobytes().hex())
 """
 
@@ -193,8 +201,8 @@ def test_ros_ihs_bit_identical_across_blas_threads():
         res = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        outs.append(res.stdout)
-    assert outs[0] and outs[0] == outs[1]
+        outs.append(res.stdout.split())
+    assert len(outs[0]) == 2 and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("kind", KINDS[:4])
