@@ -17,13 +17,14 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import click
 import numpy as np
 
 from . import __version__
 from .constraints import Unconstrained, constraint_from_json
-from .errors import IhskitError
+from .errors import IhskitError, NonFiniteError
 from .experiments import (
     EXPERIMENT_IDS,
     FLAG_KEYWORDS,
@@ -68,11 +69,50 @@ def _default_threads() -> int:
 
 
 def _load_table(path) -> np.ndarray:
-    """Headerless CSV of reals -> 2-D array; malformed rows name the line."""
+    """Headerless CSV of reals -> 2-D array; malformed rows name the line.
+
+    numpy's C reader parses the file. When it rejects the file or finds no
+    rows, ``_read_lines`` reads it again: that accepts what the C reader
+    does not (``1_0``) and names a bad line.
+    """
+    # Opened here, not by loadtxt(path): numpy's DataSource would unpack .gz
+    # names, fetch URLs and word a missing file differently.
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(_lines_for_c_reader(fh), delimiter=",", comments=None,
+                               ndmin=2, dtype=np.float64)
+    except ValueError:  # UnicodeDecodeError among them
+        table = None
+    except OSError as exc:
+        raise _IOError(f"cannot read {path}: {exc}") from exc
+    if table is None or not table.size:
+        return _read_lines(path)
+    return table
+
+
+def _lines_for_c_reader(fh):
+    """Yield the lines of ``fh`` that ``_read_lines`` would not skip.
+
+    The C reader would refuse a whitespace-only line as a row of one empty
+    field. It strips the ASCII separators 0x1c-0x1f around a field, which
+    ``float()`` rejects, so a line holding one leaves the file to
+    ``_read_lines``.
+    """
+    for line in fh:
+        if line.isspace():
+            continue
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator in a field")
+        yield line
+
+
+def _read_lines(path) -> np.ndarray:
+    """``_load_table`` one line at a time with ``float()`` per field."""
     rows = []
     width = None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -90,6 +130,9 @@ def _load_table(path) -> np.ndarray:
                 rows.append(vals)
     except OSError as exc:
         raise _IOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from exc
     if not rows:
         raise click.UsageError(f"{path}: file contains no data")
     return np.asarray(rows, dtype=np.float64)
@@ -505,7 +548,10 @@ def verify_condition(ctx, kind, n, m, trials, seed, matrix, out, config):
         a = _load_table(p["matrix"])
         if a.shape[0] != p["n"]:
             raise click.UsageError(f"--matrix has {a.shape[0]} rows, expected n={p['n']}")
-        lev = leverage_scores(a)
+        try:
+            lev = leverage_scores(a)
+        except NonFiniteError as exc:
+            raise click.UsageError(str(exc)) from exc
     spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="condition check")
     try:
         eta, details = verify_projection_condition(

@@ -1,8 +1,11 @@
 import json
+import warnings
 
+import click
 import numpy as np
 import pytest
 
+import ihskit.cli as cli_mod
 from ihskit.cli import main
 
 A_CSV = "1,0\n0,1\n1,1\n"
@@ -189,6 +192,132 @@ class TestSolve:
         capsys.readouterr()
 
 
+def _hard_tokens(rng):
+    """Number spellings where a careless parser would round or refuse differently."""
+    tokens = ["5e-324", "-4.9406564584124654e-324", "2.2250738585072014e-308",
+              "2.2250738585072011e-308", "1e400", "-1e+400", "1e-400", "+0.0", "-0.0",
+              "nan", "NaN", "-nan", "+NAN", "inf", "-Inf", "infinity", "+INFINITY",
+              "1.7976931348623157e308", "1.7976931348623159e308", "0.1", "1.", ".5"]
+    tokens += [repr(float(v)) for v in rng.uniform(0, 1, 40) * 2.0 ** -1060]
+    for width in (25, 40):
+        for _ in range(40):
+            digits = "".join(str(t) for t in rng.integers(0, 10, width))
+            point = int(rng.integers(0, width + 1))
+            sign = "-" if rng.random() < 0.5 else ""
+            tokens.append(f"{sign}{digits[:point]}.{digits[point:]}e{int(rng.integers(-30, 30))}")
+    return tokens
+
+
+def _float_oracle(text):
+    """Today's contract: ``float()`` per field, blank lines skipped."""
+    rows = [[float(t) for t in line.split(",")] for line in text.splitlines() if line.strip()]
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20141103)
+    cases = {}
+    for name, shape in (("matrix", (40, 7)), ("single_row", (1, 9)), ("single_col", (13, 1))):
+        rows = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)).tolist()
+        cases[name] = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+    cases["crlf"] = cases["matrix"].replace("\n", "\r\n")
+    cases["no_trailing_newline"] = cases["matrix"].rstrip("\n")
+    cases["whitespace_lines"] = " \t\n\n" + cases["matrix"].replace("\n", "\n  \n", 3) + "\x0c\n"
+    tokens = _hard_tokens(rng)
+    tokens += ["0"] * (-len(tokens) % 6)
+    cases["hard_tokens"] = "\n".join(
+        ",".join(tokens[i:i + 6]) for i in range(0, len(tokens), 6)) + "\n"
+    return cases
+
+
+class TestLoader:
+    @pytest.mark.parametrize("name", sorted(_oracle_cases()))
+    def test_matches_float_oracle_bit_for_bit(self, tmp_path, monkeypatch, name):
+        def no_line_loop(path):
+            raise AssertionError(f"{path} fell back to the line loop")
+
+        monkeypatch.setattr(cli_mod, "_read_lines", no_line_loop)
+        text = _oracle_cases()[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        got = cli_mod._load_table(path)
+        want = _float_oracle(text)
+        assert got.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_well_formed_file_skips_line_loop(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli_mod._read_lines
+
+        def spy(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli_mod, "_read_lines", spy)
+        good = tmp_path / "good.csv"
+        good.write_text(_oracle_cases()["matrix"])
+        cli_mod._load_table(good)
+        assert calls == []
+        odd = tmp_path / "odd.csv"
+        odd.write_text("1,2\n3,4_0\n")
+        cli_mod._load_table(odd)
+        assert calls == [odd]
+
+    @pytest.mark.parametrize("text, rows", [
+        ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1_0,2\n3,4_5\n", [[10.0, 2.0], [3.0, 45.0]]),
+        ("\t\n1,2\n", [[1.0, 2.0]]),
+        ("1,2\x1c\n", [[1.0, 2.0]]),
+    ], ids=["whitespace_line", "underscores", "leading_tab_line", "trailing_separator"])
+    def test_inputs_a_bare_c_reader_refuses(self, tmp_path, text, rows):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        got = cli_mod._load_table(path)
+        assert got.tolist() == rows
+        assert got.shape == (len(rows), len(rows[0]))
+
+    @pytest.mark.parametrize("text, message", [
+        ("# header\n1,2\n", "line 1: not a number"),
+        ("1,2 # note\n", "line 1: not a number"),
+        ("1,2\n3\x1c,4\n", "line 2: not a number"),
+        ("1,2\n\n5\n", "line 3: expected 2 fields, got 1"),
+        ("1,2,\n", "line 1: not a number"),
+    ], ids=["comment_line", "trailing_comment", "separator_in_field", "ragged", "empty_field"])
+    def test_bad_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(click.UsageError, match=message):
+            cli_mod._load_table(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n", "\r\n \n\t\n"])
+    def test_no_data_without_numpy_warning(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(click.UsageError, match="file contains no data"):
+                cli_mod._load_table(path)
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"1,2\n\xff\xfe,3\n")
+        y = tmp_path / "y.csv"
+        y.write_text("1\n2\n")
+        code = run(["solve", "--method", "exact", "--matrix", bad, "--rhs", y])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        y = tmp_path / "y.csv"
+        y.write_text("1\n2\n")
+        code = run(["solve", "--method", "exact", "--matrix", tmp_path / "nope.csv",
+                    "--rhs", y])
+        assert code == 3
+        assert "No such file or directory" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
@@ -297,6 +426,22 @@ class TestVerifyCondition:
         assert "eta_hat" in capsys.readouterr().out
         data = json.loads(out.read_text())
         assert 0.8 <= data["eta_hat"] <= 1.2
+
+    def test_leverage_matrix_with_nan_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "A.csv"
+        a.write_text("1,0\nnan,1\n1,1\n0,2\n")
+        code = run(["verify-condition", "--kind", "rowsample_leverage", "--matrix", a,
+                    "--n", "4", "--m", "2", "--trials", "5", "--seed", "1"])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_rank_deficient_leverage_matrix_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "A.csv"
+        a.write_text("1,2\n2,4\n3,6\n4,8\n")
+        code = run(["verify-condition", "--kind", "rowsample_leverage", "--matrix", a,
+                    "--n", "4", "--m", "2", "--trials", "5", "--seed", "1"])
+        assert code == 2
+        assert "rank deficient" in capsys.readouterr().err
 
     def test_m_exceeding_n_rejected(self, capsys):
         code = run(["verify-condition", "--kind", "gaussian", "--n", "8", "--m", "16",
