@@ -2,21 +2,26 @@
 
 Commands: ``solve``, ``experiment``, ``diagnose``, ``verify-condition``
 and ``project``. Matrix and vector inputs are headerless CSV files of
-reals with dimensions inferred from the file. A flat ``key = value``
-config file (TOML-compatible subset) can seed any option; explicit
-flags override it. Randomized commands require an explicit --seed; no
-entropy is ever taken from the clock.
+reals with dimensions inferred from the file. A TOML config file, read
+by ``tomllib``, can seed any option; explicit flags override it.
+Randomized commands require an explicit --seed; no entropy is ever
+taken from the clock.
 
-Exit codes: 0 success, 1 usage error, 2 numerical non-convergence,
-3 I/O error.
+Exit codes: 0 success; 1 usage error: bad flags, constraint
+descriptors, config values, input files or experiment grids (a
+``ValueError`` raised inside a command's ``_reading_inputs()`` block);
+2 numerical failure: non-convergence, LAPACK or SVD failures (any
+other ``IhskitError`` or ``LinAlgError``); 3 any ``OSError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
+import tomllib
 import warnings
 
 import click
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .constraints import Unconstrained, constraint_from_json
-from .errors import IhskitError, NonFiniteError
+from .errors import IhskitError
 from .experiments import (
     EXPERIMENT_IDS,
     FLAG_KEYWORDS,
@@ -84,8 +89,6 @@ def _load_table(path) -> np.ndarray:
                                ndmin=2, dtype=np.float64)
     except ValueError:  # UnicodeDecodeError among them
         table = None
-    except OSError as exc:
-        raise _IOError(f"cannot read {path}: {exc}") from exc
     if table is None or not table.size:
         return _read_lines(path)
     return table
@@ -128,8 +131,6 @@ def _read_lines(path) -> np.ndarray:
                     raise click.UsageError(
                         f"{path}: line {lineno}: expected {width} fields, got {len(vals)}")
                 rows.append(vals)
-    except OSError as exc:
-        raise _IOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise click.UsageError(
             f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from exc
@@ -145,70 +146,51 @@ def _load_vector(path) -> np.ndarray:
     raise click.UsageError(f"{path}: expected a single row or column, got shape {table.shape}")
 
 
-class _IOError(click.ClickException):
-    exit_code = EXIT_IO
-
-
-def _atomic_write(path, text: str) -> None:
-    try:
-        write_text_atomic(path, text)
-    except OSError as exc:
-        raise _IOError(f"cannot write {path}: {exc}") from exc
-
-
 def _fmt_vec(v: np.ndarray) -> str:
     return "\n".join(format(float(t), ".17g") for t in v) + "\n"
 
 
-def _parse_config_file(path):
-    """Flat ``key = value`` file: strings quoted, numbers and booleans bare."""
-    values = {}
+@contextlib.contextmanager
+def _reading_inputs():
+    """Report a ``ValueError`` raised while a command reads its inputs as
+    a usage error (exit 1).
+
+    The package's input errors (``DimensionError``, ``NonFiniteError``,
+    ``MissingHintError``) are ``ValueError``s. So is ``LinAlgError``, a
+    numerical failure, which passes through to ``main()`` (exit 2).
+    """
     try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise click.UsageError(f"{path}: line {lineno}: expected key = value")
-                key, _, val = line.partition("=")
-                key = key.strip().replace("-", "_")
-                val = val.strip()
-                if val.startswith(("'", '"')) and val.endswith(val[0]) and len(val) >= 2:
-                    values[key] = val[1:-1]
-                elif val.lower() in ("true", "false"):
-                    values[key] = val.lower() == "true"
-                else:
-                    try:
-                        values[key] = int(val)
-                    except ValueError:
-                        try:
-                            values[key] = float(val)
-                        except ValueError as exc:
-                            raise click.UsageError(
-                                f"{path}: line {lineno}: unquoted non-numeric value {val!r}"
-                            ) from exc
-    except OSError as exc:
-        raise _IOError(f"cannot read {path}: {exc}") from exc
-    return values
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _apply_config(ctx: click.Context, config_path) -> None:
     """Fill parameters that the user did not pass from the config file."""
     if not config_path:
         return
-    values = _parse_config_file(config_path)
+    with open(config_path, "rb") as fh:
+        try:
+            values = tomllib.load(fh)
+        except ValueError as exc:  # TOMLDecodeError or UnicodeDecodeError
+            raise click.UsageError(f"{config_path}: {exc}") from exc
     params = {p.name: p for p in ctx.command.params}
     for key, val in values.items():
+        key = key.replace("-", "_")
         if key == "config":
             continue
         if key not in params:
             raise click.UsageError(f"config key {key!r} is not an option of this command")
         if ctx.get_parameter_source(key) == click.core.ParameterSource.DEFAULT:
             param = params[key]
-            if param.multiple and not isinstance(val, (list, tuple)):
-                val = (val,)
-            ctx.params[key] = param.type_cast_value(ctx, val)
+            vals = val if param.multiple and isinstance(val, list) else [val]
+            if not all(isinstance(v, (str, int, float)) for v in vals):  # bool is an int
+                raise click.UsageError(
+                    f"config key {key!r} must be a string, number or boolean"
+                    f"{' or an array of them' if param.multiple else ''}, got {val!r}")
+            ctx.params[key] = param.type_cast_value(ctx, tuple(vals) if param.multiple else val)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -255,29 +237,23 @@ def _build_problem(matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_
         a = _load_table(matrix)
         y = _load_vector(rhs)
         cset = constraint_from_json(constraint_json) if constraint_json else Unconstrained()
-        try:
-            return LsProblem(a, y, set=cset)
-        except IhskitError as exc:
-            raise click.UsageError(str(exc)) from exc
+        return LsProblem(a, y, set=cset)
     if seed is None:
         raise click.UsageError("--seed is required when generating a random problem")
     if seed < 0:
         raise click.UsageError("--seed must be a non-negative integer")
-    try:
-        if generate == "unconstrained":
-            if n is None or d is None:
-                raise click.UsageError("--generate unconstrained needs --n and --d")
-            prob = gen_unconstrained(n, d, sigma, (seed, 0))
-        elif generate == "sparse":
-            if n is None or d is None or s is None:
-                raise click.UsageError("--generate sparse needs --n, --d and --s")
-            prob = gen_sparse(n, d, s, sigma, (seed, 0))
-        else:
-            if n is None or d1 is None or d2 is None or r is None:
-                raise click.UsageError("--generate lowrank needs --n, --d1, --d2 and --r")
-            prob = gen_lowrank(n, d1, d2, r, sigma, (seed, 0))
-    except (ValueError, IhskitError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    if generate == "unconstrained":
+        if n is None or d is None:
+            raise click.UsageError("--generate unconstrained needs --n and --d")
+        prob = gen_unconstrained(n, d, sigma, (seed, 0))
+    elif generate == "sparse":
+        if n is None or d is None or s is None:
+            raise click.UsageError("--generate sparse needs --n, --d and --s")
+        prob = gen_sparse(n, d, s, sigma, (seed, 0))
+    else:
+        if n is None or d1 is None or d2 is None or r is None:
+            raise click.UsageError("--generate lowrank needs --n, --d1, --d2 and --r")
+        prob = gen_lowrank(n, d1, d2, r, sigma, (seed, 0))
     if constraint_json:
         from dataclasses import replace as dc_replace
         prob = dc_replace(prob, set=constraint_from_json(constraint_json))
@@ -289,37 +265,20 @@ def _sketch_spec(kind, m, seed, what="sketch"):
         raise click.UsageError(f"--seed is required for a randomized {what}")
     if seed < 0:
         raise click.UsageError("--seed must be a non-negative integer")
-    try:
-        return SketchSpec(kind, m, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-def _controls(inner_tol, inner_max_iter, no_acceleration) -> SolverControls:
-    try:
-        return SolverControls(
-            tol=inner_tol, max_iter=inner_max_iter, acceleration=not no_acceleration)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return SketchSpec(kind, m, seed)
 
 
 def _recommended_m(problem, p) -> int:
     """Derive the sketch dimension from the width formula when possible."""
-    try:
-        if p["generate"] == "sparse":
-            m = recommend_sketch_size("sparse", d=problem.d, s=p["s"],
-                                      rho=p["rho"], c0=p["c0"])
-        elif p["generate"] == "lowrank":
-            m = recommend_sketch_size("lowrank", d1=p["d1"], d2=p["d2"], r=p["r"],
-                                      rho=p["rho"], c0=p["c0"])
-        elif isinstance(problem.set, Unconstrained):
-            m = recommend_sketch_size("unconstrained", d=problem.d,
-                                      rho=p["rho"], c0=p["c0"])
-        else:
-            raise click.UsageError(
-                "--m is required (no structural hint available to derive it)")
-    except (ValueError, IhskitError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    if p["generate"] == "sparse":
+        m = recommend_sketch_size("sparse", d=problem.d, s=p["s"], rho=p["rho"], c0=p["c0"])
+    elif p["generate"] == "lowrank":
+        m = recommend_sketch_size("lowrank", d1=p["d1"], d2=p["d2"], r=p["r"],
+                                  rho=p["rho"], c0=p["c0"])
+    elif isinstance(problem.set, Unconstrained):
+        m = recommend_sketch_size("unconstrained", d=problem.d, rho=p["rho"], c0=p["c0"])
+    else:
+        raise click.UsageError("--m is required (no structural hint available to derive it)")
     click.echo(f"using recommended sketch dimension m = {m}", err=True)
     return m
 
@@ -354,7 +313,7 @@ def _recommended_m(problem, p) -> int:
               help="Include wall-clock timings in the JSON report (breaks byte-for-byte "
                    "reproducibility of outputs).")
 @click.option("--config", type=click.Path(), default=None,
-              help="Flat key = value config file; flags override.")
+              help="TOML config file; flags override.")
 @click.pass_context
 def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json,
           method, kind, m, rounds, rho, c0, seed, inner_tol, inner_max_iter,
@@ -364,36 +323,35 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
     p = ctx.params
     if p["method"] is None:
         raise click.UsageError("--method is required (exact, classical, hessian or ihs)")
-    problem = _build_problem(p["matrix"], p["rhs"], p["generate"], p["n"], p["d"], p["s"],
-                             p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
-                             p["seed"])
-    ctl = _controls(p["inner_tol"], p["inner_max_iter"], p["no_acceleration"])
-    ref = _load_vector(p["reference"]) if p["reference"] else None
-    if ref is not None and ref.shape[0] != problem.d:
-        raise click.UsageError(f"{p['reference']}: the reference has {ref.shape[0]} "
-                               f"entries, the problem has d = {problem.d}")
     method = p["method"]
+    with _reading_inputs():
+        problem = _build_problem(p["matrix"], p["rhs"], p["generate"], p["n"], p["d"], p["s"],
+                                 p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
+                                 p["seed"])
+        ctl = SolverControls(tol=p["inner_tol"], max_iter=p["inner_max_iter"],
+                             acceleration=not p["no_acceleration"])
+        ref = _load_vector(p["reference"]) if p["reference"] else None
+        if ref is not None and ref.shape[0] != problem.d:
+            raise click.UsageError(f"{p['reference']}: the reference has {ref.shape[0]} "
+                                   f"entries, the problem has d = {problem.d}")
+        if method != "exact":
+            if p["m"] is None:
+                p["m"] = _recommended_m(problem, p)
+            spec = _sketch_spec(p["kind"], p["m"], p["seed"], what=f"{method} solve")
+        if method == "ihs":
+            cfg = IhsConfig(spec, p["rounds"], inner=ctl, step="tuned",
+                            collect_certificates=p["certificates"])
     report = None
-    converged = True
     if method == "exact":
         x, converged = solve_exact(problem, ctl, full_result=True)
+    elif method == "classical":
+        x, converged = classical_sketch_solve(problem, spec, ctl, full_result=True)
+    elif method == "hessian":
+        x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
     else:
-        if p["m"] is None:
-            p["m"] = _recommended_m(problem, p)
-        spec = _sketch_spec(p["kind"], p["m"], p["seed"], what=f"{method} solve")
-        if method == "classical":
-            x, converged = classical_sketch_solve(problem, spec, ctl, full_result=True)
-        elif method == "hessian":
-            x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
-        else:
-            try:
-                cfg = IhsConfig(spec, p["rounds"], inner=ctl, step="tuned",
-                                collect_certificates=p["certificates"])
-            except ValueError as exc:
-                raise click.UsageError(str(exc)) from exc
-            report = ihs_solve(problem, cfg, reference=ref)
-            x = report.x
-            converged = report.all_converged
+        report = ihs_solve(problem, cfg, reference=ref)
+        x = report.x
+        converged = report.all_converged
 
     final_ref_err = None
     if ref is not None:
@@ -402,7 +360,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
 
     if p["out_prefix"]:
         prefix = p["out_prefix"]
-        _atomic_write(prefix + "_solution.csv", _fmt_vec(x))
+        write_text_atomic(prefix + "_solution.csv", _fmt_vec(x))
         rep = {
             "method": method,
             "n": problem.n,
@@ -424,7 +382,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                 rep["certificates"] = [[z1, z2] for z1, z2 in report.certificates]
             if p["timings"]:
                 rep["per_round_seconds"] = report.per_round_seconds
-        _atomic_write(prefix + "_report.json", json.dumps(rep, indent=2) + "\n")
+        write_text_atomic(prefix + "_report.json", json.dumps(rep, indent=2) + "\n")
         if report is not None:
             lines = ["iter,err_ls_semi,err_truth_semi"]
             for it in range(len(report.iterates)):
@@ -433,7 +391,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
                 e2 = ("" if report.errors_to_truth is None
                       else format(report.errors_to_truth[it], ".17g"))
                 lines.append(f"{it},{e1},{e2}")
-            _atomic_write(prefix + "_trace.csv", "\n".join(lines) + "\n")
+            write_text_atomic(prefix + "_trace.csv", "\n".join(lines) + "\n")
     elif ref is None:
         click.echo(_fmt_vec(x), nl=False)
 
@@ -457,7 +415,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
 @click.option("--full-scale", is_flag=True, help="Paper-scale grids and trial counts.")
 @click.option("--threads", type=int, default=None, help="Worker threads (default: all cores).")
 @click.option("--config", type=click.Path(), default=None,
-              help="Flat key = value config file; flags override.")
+              help="TOML config file; flags override.")
 @click.pass_context
 def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, kind,
                full_scale, threads, config):
@@ -469,17 +427,14 @@ def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, ki
         raise click.UsageError("--id, --out and --seed are required")
     if p["seed"] < 0:
         raise click.UsageError("--seed must be a non-negative integer")
-    try:
-        flags = flag_overrides(exp_id, {f: p[f] for f in FLAG_KEYWORDS})
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    overrides = {**(FULL_SCALE_OVERRIDES[exp_id] if p["full_scale"] else {}), **flags}
     nthreads = p["threads"] if p["threads"] is not None else _default_threads()
-    rows = run_experiment(exp_id, p["seed"], threads=nthreads, **overrides)
-    try:
-        write_rows(rows, p["out"])
-    except OSError as exc:
-        raise _IOError(f"cannot write {p['out']}: {exc}") from exc
+    # The runners check their grids as they generate the problems, so the
+    # whole run is input reading: trials turn numerical failures into rows.
+    with _reading_inputs():
+        flags = flag_overrides(exp_id, {f: p[f] for f in FLAG_KEYWORDS})
+        overrides = {**(FULL_SCALE_OVERRIDES[exp_id] if p["full_scale"] else {}), **flags}
+        rows = run_experiment(exp_id, p["seed"], threads=nthreads, **overrides)
+    write_rows(rows, p["out"])
     click.echo(f"{exp_id}: {len(rows)} rows -> {p['out']}")
     click.echo(summarize(rows))
 
@@ -501,16 +456,17 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
     p = ctx.params
     if p["m"] is None:
         raise click.UsageError("--m is required")
-    problem = _build_problem(p["matrix"], p["rhs"], p["generate"], p["n"], p["d"], p["s"],
-                             p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
-                             p["seed"])
-    if not isinstance(problem.set, Unconstrained):
-        raise click.UsageError(
-            "diagnose supports unconstrained problems only (certificates for constrained "
-            "cones have no closed form)")
-    spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="diagnosis")
+    with _reading_inputs():
+        problem = _build_problem(p["matrix"], p["rhs"], p["generate"], p["n"], p["d"], p["s"],
+                                 p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
+                                 p["seed"])
+        if not isinstance(problem.set, Unconstrained):
+            raise click.UsageError(
+                "diagnose supports unconstrained problems only (certificates for constrained "
+                "cones have no closed form)")
+        spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="diagnosis")
+        cfg = IhsConfig(spec, p["rounds"], collect_certificates=True)
     x_ls = solve_exact(problem)
-    cfg = IhsConfig(spec, p["rounds"], collect_certificates=True)
     report = ihs_solve(problem, cfg, reference=x_ls)
     click.echo(f"{'round':>5} {'Z1':>12} {'Z2':>12} {'Z2/Z1':>12} {'err_ls_semi':>14}")
     table = []
@@ -521,7 +477,7 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
         table.append({"round": t, "Z1": z1, "Z2": z2, "ratio": ratio,
                       "err_ls_semi": report.errors_to_ls[t]})
     if p["out"]:
-        _atomic_write(p["out"], json.dumps({"rounds": table}, indent=2) + "\n")
+        write_text_atomic(p["out"], json.dumps({"rounds": table}, indent=2) + "\n")
 
 
 @cli.command("verify-condition")
@@ -542,26 +498,23 @@ def verify_condition(ctx, kind, n, m, trials, seed, matrix, out, config):
     if p["n"] is None or p["m"] is None or p["seed"] is None:
         raise click.UsageError("--n, --m and --seed are required")
     lev = None
-    if p["kind"] == "rowsample_leverage":
-        if not p["matrix"]:
-            raise click.UsageError("rowsample_leverage needs --matrix to compute probabilities")
-        a = _load_table(p["matrix"])
-        if a.shape[0] != p["n"]:
-            raise click.UsageError(f"--matrix has {a.shape[0]} rows, expected n={p['n']}")
-        try:
+    # verify_projection_condition checks trials and m <= n before it draws.
+    with _reading_inputs():
+        if p["kind"] == "rowsample_leverage":
+            if not p["matrix"]:
+                raise click.UsageError(
+                    "rowsample_leverage needs --matrix to compute probabilities")
+            a = _load_table(p["matrix"])
+            if a.shape[0] != p["n"]:
+                raise click.UsageError(f"--matrix has {a.shape[0]} rows, expected n={p['n']}")
             lev = leverage_scores(a)
-        except NonFiniteError as exc:
-            raise click.UsageError(str(exc)) from exc
-    spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="condition check")
-    try:
+        spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="condition check")
         eta, details = verify_projection_condition(
             spec, p["n"], p["trials"], leverage_p=lev, return_details=True)
-    except IhskitError as exc:
-        raise click.UsageError(str(exc)) from exc
     click.echo(f"eta_hat = {eta:.6f}  (kind={p['kind']}, n={p['n']}, m={p['m']}, "
                f"trials={p['trials']}, singular draws={details['singular_draws']})")
     if p["out"]:
-        _atomic_write(p["out"], json.dumps({
+        write_text_atomic(p["out"], json.dumps({
             "kind": p["kind"], "n": p["n"], "m": p["m"], "trials": p["trials"],
             "eta_hat": eta, "singular_draws": details["singular_draws"],
         }, indent=2) + "\n")
@@ -576,17 +529,13 @@ def verify_condition(ctx, kind, n, m, trials, seed, matrix, out, config):
 @click.pass_context
 def project_cmd(ctx, constraint_json, vector, out):
     """Euclidean projection of a vector onto a constraint set."""
-    try:
+    # A vector that does not fit the set is a DimensionError; an SVD
+    # failure is not a ValueError and keeps exit 2.
+    with _reading_inputs():
         cset = constraint_from_json(constraint_json)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    v = _load_vector(vector)
-    try:
-        z = project_onto(cset, v)
-    except IhskitError as exc:
-        raise click.UsageError(str(exc)) from exc
+        z = project_onto(cset, _load_vector(vector))
     if out:
-        _atomic_write(out, _fmt_vec(z))
+        write_text_atomic(out, _fmt_vec(z))
     else:
         click.echo(_fmt_vec(z), nl=False)
 
@@ -599,9 +548,6 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         click.echo(f"warning: {exc}", err=True)
         return EXIT_NONCONVERGED
-    except _IOError as exc:
-        click.echo(f"error: {exc.message}", err=True)
-        return EXIT_IO
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}\nTry --help for usage.", err=True)
         return EXIT_USAGE
@@ -612,7 +558,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         return EXIT_IO
-    except IhskitError as exc:
+    except (IhskitError, np.linalg.LinAlgError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
         return EXIT_NONCONVERGED
 

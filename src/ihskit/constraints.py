@@ -158,12 +158,25 @@ def ambient_dim(cset: ConstraintSet):
     return None
 
 
+def _field(obj: dict, kind: str, key: str, cast):
+    """``cast(obj[key])``; a missing, null or unconvertible field is a
+    ``ValueError`` naming it."""
+    if obj.get(key) is None:
+        raise ValueError(f"{kind} constraint descriptor needs {key!r}")
+    try:
+        return cast(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        raise ValueError(f"{kind} constraint descriptor: {key!r} must be numeric, "
+                         f"got {obj[key]!r}") from exc
+
+
 def constraint_from_json(text: str) -> ConstraintSet:
     """Parse the serialized descriptor used by the CLI.
 
     Format: ``{"type": "...", ...}`` with types ``unconstrained``,
     ``l1`` (radius), ``nuclear`` (radius, d1, d2), ``simplex`` and
-    ``box`` (lo, hi as scalars or lists).
+    ``box`` (lo, hi as scalars or lists; default -1 and 1). Every
+    malformed descriptor raises ``ValueError``.
     """
     try:
         obj = json.loads(text)
@@ -175,13 +188,16 @@ def constraint_from_json(text: str) -> ConstraintSet:
     if kind == "unconstrained":
         return Unconstrained()
     if kind in ("l1", "l1ball", "l1_ball"):
-        return L1Ball(float(obj["radius"]))
+        return L1Ball(_field(obj, "l1", "radius", float))
     if kind in ("nuclear", "nuclearball", "nuclear_ball"):
-        return NuclearBall(float(obj["radius"]), int(obj["d1"]), int(obj["d2"]))
+        return NuclearBall(*(_field(obj, "nuclear", key, cast)
+                             for key, cast in (("radius", float), ("d1", int), ("d2", int))))
     if kind == "simplex":
         return Simplex()
     if kind == "box":
-        return Box(obj.get("lo", -1.0), obj.get("hi", 1.0))
+        obj = {"lo": -1.0, "hi": 1.0, **obj}
+        return Box(*(_field(obj, "box", key, lambda v: np.asarray(v, dtype=np.float64))
+                     for key in ("lo", "hi")))
     raise ValueError(f"unknown constraint type {obj['type']!r}")
 
 

@@ -318,6 +318,80 @@ class TestLoader:
         assert "No such file or directory" in capsys.readouterr().err
 
 
+GEN = ["--generate", "unconstrained", "--n", "30", "--d", "3", "--seed", "1"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["solve", "--method", "exact", *GEN, "--constraint", '{"type": "l1"}'],
+        ["solve", "--method", "exact", *GEN, "--constraint", '{"type": "ball"}'],
+        ["solve", "--method", "exact", "--generate", "sparse", "--n", "30", "--d", "4",
+         "--s", "2", "--seed", "1",
+         "--constraint", '{"type": "nuclear", "radius": 1, "d1": 3, "d2": 3}'],
+        ["solve", "--method", "exact", *GEN,
+         "--constraint", '{"type": "box", "lo": [0, 0], "hi": [1, 1, 1]}'],
+        ["diagnose", *GEN, "--m", "10", "--rounds", "0"],
+        ["experiment", "--id", "fig1", "--d", "500", "--out", "{tmp}/x.csv", "--seed", "1"],
+        ["verify-condition", "--n", "8", "--m", "4", "--seed", "1", "--trials", "0"],
+        ["project", "--constraint", '{"type": "l1"}', "--vector", "{tmp}/v.csv"],
+        ["project", "--constraint", '{"type": "l1", "radius": null}',
+         "--vector", "{tmp}/v.csv"],
+    ], ids=["l1_no_radius", "unknown_type", "nuclear_dim", "box_lengths", "rounds_zero",
+            "grid_d_over_n", "trials_zero", "project_no_radius", "project_null_radius"])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, args):
+        (tmp_path / "v.csv").write_text("1\n2\n3\n")
+        code = run([a.replace("{tmp}", str(tmp_path)) for a in args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_project_svd_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
+        import ihskit.constraints
+        from ihskit.errors import SvdConvergenceError
+
+        def failing_svd(x):
+            raise SvdConvergenceError("SVD did not converge")
+
+        monkeypatch.setattr(ihskit.constraints, "thin_svd", failing_svd)
+        v = tmp_path / "v.csv"
+        v.write_text("1\n2\n3\n4\n")
+        code = run(["project", "--vector", v,
+                    "--constraint", '{"type": "nuclear", "radius": 1, "d1": 2, "d2": 2}'])
+        assert code == 2
+        assert "numerical error: SVD did not converge" in capsys.readouterr().err
+
+    def test_linalg_error_inside_boundary_is_numerical(self, tmp_path, monkeypatch, capsys):
+        def failing_project(cset, x):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(cli_mod, "project_onto", failing_project)
+        v = tmp_path / "v.csv"
+        v.write_text("1\n2\n")
+        code = run(["project", "--vector", v, "--constraint", '{"type": "simplex"}'])
+        assert code == 2
+        assert "numerical error: eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_diverging_solve_stays_numerical(self, monkeypatch, capsys):
+        from ihskit.errors import NonFiniteError
+
+        def diverging(problem, cfg, reference=None):
+            raise NonFiniteError("iterate is not finite")
+
+        monkeypatch.setattr(cli_mod, "ihs_solve", diverging)
+        code = run(["solve", "--method", "ihs", "--m", "12", *GEN])
+        assert code == 2
+        assert "numerical error: iterate is not finite" in capsys.readouterr().err
+
+    def test_out_under_regular_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        code = run(["solve", "--method", "exact", *GEN, "--out", blocker / "sub" / "run"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: [Errno ") and str(blocker) in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
@@ -340,6 +414,49 @@ class TestConfigFile:
                     "--generate", "unconstrained", "--n", "30", "--d", "3", "--seed", "2"])
         assert code == 1
         assert "zzz" in capsys.readouterr().err
+
+    def test_hash_inside_quotes_is_read_whole(self, tmp_path, capsys):
+        out = tmp_path / "runs" / "#1.json"
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(f'out = "{out}"  # a comment\nn = 16\nm = 4\ntrials = 5\n'
+                       'seed = 2\nkind = "ros"\n')
+        code = run(["verify-condition", "--config", cfg])
+        assert code == 0
+        assert json.loads(out.read_text())["trials"] == 5
+        capsys.readouterr()
+
+    def test_dashed_keys_arrays_and_scalars(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(f'exp-id = "fig2"\nout = "{tmp_path / "f.csv"}"\nseed = 3\n'
+                       "trials = 1\nd = 5\nn = 60\nthreads = 1\ngamma = [4, 6]\n"
+                       "full-scale = false\n")
+        assert run(["experiment", "--config", cfg]) == 0
+        flags = {line.split(",")[-1].split(";")[0]
+                 for line in (tmp_path / "f.csv").read_text().splitlines()[1:]}
+        assert flags == {"gamma=4", "gamma=6"}
+        # a scalar for a repeatable option is a one-element tuple
+        assert run(["experiment", "--config", cfg, "--gamma", "8"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = True\n", "run.toml: Invalid value (at line 1"),
+        ("seed = 1\nseed = 2\n", "run.toml: Cannot overwrite a value"),
+        ("n = [1, 2]\n", "config key 'n' must be a string, number or boolean, got [1, 2]"),
+        ("matrix = {path = 'A.csv'}\n", "config key 'matrix' must be a string"),
+        ("gamma = [[4]]\n", "'gamma' must be a string, number or boolean or an array"),
+    ], ids=["capital_bool", "duplicate_key", "array_for_scalar", "table", "nested_array"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(text)
+        command = "experiment" if "gamma" in text else "solve"
+        code = run([command, "--config", cfg])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
+        code = run(["solve", "--config", tmp_path / "nope.toml"])
+        assert code == 3
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -172,3 +172,33 @@ def test_json_round_trip():
         constraint_from_json('{"type": "conic"}')
     with pytest.raises(ValueError):
         constraint_from_json("not json")
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"type": "l1", "radius": 2}', L1Ball(2.0)),
+    ('{"type": "L1_Ball", "radius": "0.5"}', L1Ball(0.5)),
+    ('{"type": "nuclearball", "radius": 1, "d1": 2.0, "d2": true}', NuclearBall(1.0, 2, 1)),
+    ('{"type": "box"}', Box(-1.0, 1.0)),
+    ('{"type": "box", "lo": [0, 1], "hi": [2, 3]}', Box([0.0, 1.0], [2.0, 3.0])),
+    ('{"type": "box", "lo": "0", "hi": 4}', Box(0.0, 4.0)),
+    ('{"type": "simplex", "radius": null}', Simplex()),
+])
+def test_valid_descriptors_parse(text, want):
+    assert constraint_from_json(text) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"type": "l1"}', "l1 constraint descriptor needs 'radius'"),
+    ('{"type": "l1", "radius": null}', "l1 constraint descriptor needs 'radius'"),
+    ('{"type": "l1", "radius": [1]}', "'radius' must be numeric, got \\[1\\]"),
+    ('{"type": "l1", "radius": "big"}', "'radius' must be numeric, got 'big'"),
+    ('{"type": "nuclear", "radius": 1, "d1": 3}', "nuclear constraint descriptor needs 'd2'"),
+    ('{"type": "nuclear", "radius": 1, "d1": 1e999, "d2": 2}', "'d1' must be numeric, got inf"),
+    ('{"type": "nuclear", "radius": 1, "d1": {}, "d2": 2}', "'d1' must be numeric"),
+    ('{"type": "box", "lo": null}', "box constraint descriptor needs 'lo'"),
+    ('{"type": "box", "hi": {"a": 1}}', "'hi' must be numeric"),
+    ('{"type": "box", "lo": [0, [1]]}', "'lo' must be numeric"),
+])
+def test_malformed_descriptor_names_field(text, message):
+    with pytest.raises(ValueError, match=message):
+        constraint_from_json(text)
