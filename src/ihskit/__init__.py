@@ -19,12 +19,10 @@ from .constraints import (
     project,
 )
 from .experiments import (
-    EnsembleSpec,
     ExperimentRow,
     gen_lowrank,
     gen_sparse,
     gen_unconstrained,
-    prediction_seminorm,
     run_experiment,
 )
 from .ihs import (
@@ -50,19 +48,12 @@ from .sketch import (
     leverage_scores,
     verify_projection_condition,
 )
-from .subsolver import (
-    SketchedQuadratic,
-    SolverControls,
-    SubsolveResult,
-    solve_constrained,
-    solve_unconstrained,
-)
+from .subsolver import SketchedQuadratic, SolverControls, SubsolveResult, solve_constrained
 
 __all__ = [
     "Box", "ConstraintSet", "L1Ball", "NuclearBall", "Simplex", "Unconstrained",
     "contains", "project",
-    "EnsembleSpec", "ExperimentRow", "gen_lowrank", "gen_sparse", "gen_unconstrained",
-    "prediction_seminorm", "run_experiment",
+    "ExperimentRow", "gen_lowrank", "gen_sparse", "gen_unconstrained", "run_experiment",
     "IhsConfig", "IhsReport", "LsProblem",
     "classical_sketch_solve", "contraction_certificates_unconstrained",
     "hessian_sketch_solve", "ihs_solve",
@@ -70,6 +61,5 @@ __all__ = [
     "SvdResult", "estimate_opnorm_sq", "fwht_normalized", "solve_psd", "thin_svd",
     "SketchOperator", "SketchSpec", "alpha_balance", "build_sketch",
     "explicit_sketch", "identity_sketch", "leverage_scores", "verify_projection_condition",
-    "SketchedQuadratic", "SolverControls", "SubsolveResult",
-    "solve_constrained", "solve_unconstrained",
+    "SketchedQuadratic", "SolverControls", "SubsolveResult", "solve_constrained",
 ]

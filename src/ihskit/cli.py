@@ -168,7 +168,11 @@ def _reading_inputs():
 
 
 def _apply_config(ctx: click.Context, config_path) -> None:
-    """Fill parameters that the user did not pass from the config file."""
+    """Fill parameters that the user did not pass from the config file.
+
+    A key is an option's long flag name or its parameter name, with
+    ``-`` read as ``_``: ``out`` or ``out_prefix`` for ``solve --out``.
+    """
     if not config_path:
         return
     with open(config_path, "rb") as fh:
@@ -177,20 +181,23 @@ def _apply_config(ctx: click.Context, config_path) -> None:
         except ValueError as exc:  # TOMLDecodeError or UnicodeDecodeError
             raise click.UsageError(f"{config_path}: {exc}") from exc
     params = {p.name: p for p in ctx.command.params}
+    params.update((opt[2:].replace("-", "_"), p) for p in ctx.command.params
+                  for opt in p.opts if opt.startswith("--"))
     for key, val in values.items():
         key = key.replace("-", "_")
         if key == "config":
             continue
         if key not in params:
             raise click.UsageError(f"config key {key!r} is not an option of this command")
-        if ctx.get_parameter_source(key) == click.core.ParameterSource.DEFAULT:
-            param = params[key]
+        param = params[key]
+        if ctx.get_parameter_source(param.name) == click.core.ParameterSource.DEFAULT:
             vals = val if param.multiple and isinstance(val, list) else [val]
             if not all(isinstance(v, (str, int, float)) for v in vals):  # bool is an int
                 raise click.UsageError(
                     f"config key {key!r} must be a string, number or boolean"
                     f"{' or an array of them' if param.multiple else ''}, got {val!r}")
-            ctx.params[key] = param.type_cast_value(ctx, tuple(vals) if param.multiple else val)
+            ctx.params[param.name] = param.type_cast_value(
+                ctx, tuple(vals) if param.multiple else val)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

@@ -200,21 +200,3 @@ def constraint_from_json(text: str) -> ConstraintSet:
                      for key in ("lo", "hi")))
     raise ValueError(f"unknown constraint type {obj['type']!r}")
 
-
-def constraint_to_json(cset: ConstraintSet) -> str:
-    """Inverse of :func:`constraint_from_json`."""
-    if isinstance(cset, Unconstrained):
-        obj = {"type": "unconstrained"}
-    elif isinstance(cset, L1Ball):
-        obj = {"type": "l1", "radius": cset.radius}
-    elif isinstance(cset, NuclearBall):
-        obj = {"type": "nuclear", "radius": cset.radius, "d1": cset.d1, "d2": cset.d2}
-    elif isinstance(cset, Simplex):
-        obj = {"type": "simplex"}
-    elif isinstance(cset, Box):
-        lo = cset.lo.item() if cset.lo.size == 1 else cset.lo.tolist()
-        hi = cset.hi.item() if cset.hi.size == 1 else cset.hi.tolist()
-        obj = {"type": "box", "lo": lo, "hi": hi}
-    else:
-        raise TypeError(f"unknown constraint set {cset!r}")
-    return json.dumps(obj)

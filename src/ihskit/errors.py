@@ -30,7 +30,7 @@ class SingularMatrixError(IhskitError):
 
 
 class RankDeficiencyError(IhskitError):
-    """A sketched Gram matrix is singular; the sketch size m is too small."""
+    """A Gram matrix is singular: A is rank deficient or the sketch size m is too small."""
 
 
 class SvdConvergenceError(IhskitError):

@@ -12,9 +12,11 @@ d, sketch size, rounds) and hands them to one of two shapes:
 Point i, trial t draws its problem from the stream ``(seed, fig, i, t,
 0)`` and its IHS and classical sketches from ``(fig, i, t, 1)`` and
 ``(fig, i, t, 2)``. A typed solver error turns the point's rows into one
-``failed:<Error>`` row. IHS runs with ``inner_schedule="fixed"``, solving
-every constrained round to the fixed inner tolerance as the paper's
-analysis assumes. Rows have the fixed CSV schema
+``failed:<Error>`` row, and a row whose solver stopped at its
+iteration cap is flagged ``nonconverged``. IHS runs with
+``inner_schedule="fixed"``, solving every constrained round to the
+fixed inner tolerance as the paper's analysis assumes. Rows have the
+fixed CSV schema
 
     experiment,trial,n,d,method,iter,err_ls_semi,err_truth_semi,err_truth_l2,seconds,flag
 
@@ -44,7 +46,6 @@ import numpy as np
 from .constraints import L1Ball, NuclearBall
 from .errors import IhskitError
 from .ihs import IhsConfig, LsProblem, classical_sketch_solve, ihs_solve, solve_exact
-from .linalg import ensure_matrix, ensure_vector
 from .seeding import derive_rng
 from .sketch import SketchSpec
 
@@ -70,64 +71,6 @@ class ExperimentRow:
     err_truth_l2: Optional[float]
     seconds: float
     flag: str = ""
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Declarative description of a random problem family.
-
-    ``family`` selects the generator: ``unconstrained`` (needs n, d),
-    ``sparse`` (n, d, s) or ``lowrank`` (n, d1, d2, r). ``trials``
-    problems are reachable through :meth:`generate`, all derived from
-    the master ``seed``.
-    """
-
-    family: str
-    n: int
-    seed: int
-    d: Optional[int] = None
-    d1: Optional[int] = None
-    d2: Optional[int] = None
-    s: Optional[int] = None
-    r: Optional[int] = None
-    sigma: float = 1.0
-    trials: int = 1
-
-    def __post_init__(self):
-        if self.family not in ("unconstrained", "sparse", "lowrank"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.family in ("unconstrained", "sparse") and self.d is None:
-            raise ValueError(f"{self.family} ensemble needs d")
-        if self.family == "sparse" and (self.s is None or not 1 <= self.s <= self.d):
-            raise ValueError("sparse ensemble needs 1 <= s <= d")
-        if self.family == "lowrank":
-            if self.d1 is None or self.d2 is None or self.r is None:
-                raise ValueError("lowrank ensemble needs d1, d2 and r")
-            if not 1 <= self.r <= min(self.d1, self.d2):
-                raise ValueError("lowrank ensemble needs 1 <= r <= min(d1, d2)")
-
-    def generate(self, trial: int = 0) -> "LsProblem":
-        """Problem instance for one trial index (deterministic)."""
-        if not 0 <= trial < self.trials:
-            raise ValueError(f"trial must lie in [0, {self.trials}), got {trial}")
-        stream = (self.seed, trial)
-        if self.family == "unconstrained":
-            return gen_unconstrained(self.n, self.d, self.sigma, stream)
-        if self.family == "sparse":
-            return gen_sparse(self.n, self.d, self.s, self.sigma, stream)
-        return gen_lowrank(self.n, self.d1, self.d2, self.r, self.sigma, stream)
-
-
-def prediction_seminorm(a, x, xref) -> float:
-    """``||A (x - xref)||_2 / sqrt(n)`` with n the row count of A."""
-    am = ensure_matrix(a, "A")
-    xv = ensure_vector(x, "x")
-    rv = ensure_vector(xref, "xref")
-    if xv.shape != rv.shape or am.shape[1] != xv.shape[0]:
-        raise ValueError("A, x and xref have inconsistent dimensions")
-    return float(np.linalg.norm(am @ (xv - rv))) / math.sqrt(am.shape[0])
 
 
 def gen_unconstrained(n: int, d: int, sigma: float, seed) -> LsProblem:
@@ -221,6 +164,9 @@ class _Point(NamedTuple):
 
 
 def _execute(task, points, trials: int, threads: int) -> List[ExperimentRow]:
+    if trials < 1 or threads < 1:
+        raise ValueError(f"trials and threads must be >= 1, got trials={trials}, "
+                         f"threads={threads}")
     jobs = [(i, point, t) for i, point in enumerate(points) for t in range(trials)]
     if threads <= 1:
         chunks = [task(*job) for job in jobs]
@@ -236,6 +182,10 @@ def _timed(fn):
     return out, time.perf_counter() - tic
 
 
+def _flag(converged: bool) -> str:
+    return "" if converged else "nonconverged"
+
+
 def _compare(exp, seed, points, trials, kind, threads):
     """An exact, an IHS and a classical-sketch row per grid point and trial."""
     fig = _FIG_STREAM[exp]
@@ -243,7 +193,7 @@ def _compare(exp, seed, points, trials, kind, threads):
     def task(i, p, t):
         try:
             prob = p.make((seed, fig, i, t, 0))
-            x_ls, sec_exact = _timed(lambda: solve_exact(prob))
+            (x_ls, ok_ls), sec_exact = _timed(lambda: solve_exact(prob, full_result=True))
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec_ihs = _timed(
                 lambda: ihs_solve(prob, IhsConfig(spec, p.rounds, inner_schedule="fixed"),
@@ -253,12 +203,13 @@ def _compare(exp, seed, points, trials, kind, threads):
             cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
             cl_m = p.classical_m or p.rounds * p.m
             cl_spec = SketchSpec(kind, cl_m, seed, stream=(fig, i, t, 2))
-            x_cl, sec_cl = _timed(lambda: classical_sketch_solve(cl_prob, cl_spec))
+            (x_cl, ok_cl), sec_cl = _timed(
+                lambda: classical_sketch_solve(cl_prob, cl_spec, full_result=True))
             return [
-                _row(exp, t, p.n, p.d, "exact", 0, prob, x_ls, x_ls, sec_exact),
+                _row(exp, t, p.n, p.d, "exact", 0, prob, x_ls, x_ls, sec_exact, _flag(ok_ls)),
                 _row(exp, t, p.n, p.d, "ihs", p.rounds, prob, report.x, x_ls, sec_ihs,
-                     "" if report.all_converged else "nonconverged"),
-                _row(exp, t, p.n, p.d, "classical", 0, prob, x_cl, x_ls, sec_cl),
+                     _flag(report.all_converged)),
+                _row(exp, t, p.n, p.d, "classical", 0, prob, x_cl, x_ls, sec_cl, _flag(ok_cl)),
             ]
         except IhskitError as exc:
             return [_fail_row(exp, t, p.n, p.d, "all", exc)]

@@ -102,15 +102,9 @@ import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
-from .linalg import ensure_matrix, ensure_vector, solve_psd, thin_svd, top_eigenvalue
+from .linalg import ensure_matrix, ensure_vector, thin_svd, top_eigenvalue
 from .sketch import SketchOperator, SketchSpec, build_sketch, leverage_scores
-from .subsolver import (
-    SketchedQuadratic,
-    SolverControls,
-    project_iterate,
-    solve_constrained,
-    solve_unconstrained,
-)
+from .subsolver import SketchedQuadratic, SolverControls, project_iterate, solve_constrained
 
 __all__ = [
     "LsProblem", "IhsConfig", "IhsReport",
@@ -327,27 +321,19 @@ def solve_exact(
 ):
     """Reference solution of ``min_C (1/2n) ||A x - y||^2``.
 
-    Unconstrained problems go through the normal equations; otherwise
-    the projected-gradient subsolver runs on ``B = A / sqrt(n)``,
-    ``c = A^T y / n``. With ``full_result`` the return value is
-    ``(x, converged)``, where ``converged`` is false when the subsolver
-    stopped at its iteration cap.
+    The inner solver minimizes the quadratic with ``G = A^T A / n`` and
+    ``c = A^T y / n``: exactly by Cholesky when unconstrained, by
+    projected gradient otherwise. A rank-deficient A raises
+    :class:`RankDeficiencyError` when unconstrained. With ``full_result``
+    the return value is ``(x, converged)``, where ``converged`` is false
+    when the subsolver stopped at its iteration cap.
     """
     a, y = _base_form(problem)
     n = problem.n
-    c = a.T @ y / n
-    if isinstance(problem.set, Unconstrained):
-        try:
-            x = solve_psd(a.T @ a / n, c)
-        except Exception as exc:
-            raise RankDeficiencyError(f"A^T A is singular: {exc}") from exc
-        converged = True
-    else:
-        q = SketchedQuadratic(a / math.sqrt(n), c, problem.set)
-        res = solve_constrained(q, x0=None, ctl=ctl)
-        x, converged = res.x, res.converged
-    x = x.flatten(order="F")
-    return (x, converged) if full_result else x
+    q = SketchedQuadratic(None, a.T @ y / n, problem.set, G=a.T @ a / n)
+    res = solve_constrained(q, x0=None, ctl=ctl)
+    x = res.x.flatten(order="F")
+    return (x, res.converged) if full_result else x
 
 
 def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_response):
@@ -361,13 +347,9 @@ def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_respo
     scale = problem.n * op.m
     c = sa.T @ _sketch(op, y) / scale if sketch_response else a.T @ y / problem.n
     q = SketchedQuadratic(sa / math.sqrt(scale), c, problem.set)
-    if isinstance(q.set, Unconstrained):
-        x, converged = solve_unconstrained(q), True
-    else:
-        res = solve_constrained(q, x0=None, ctl=ctl)
-        x, converged = res.x, res.converged
-    x = x.flatten(order="F")
-    return (x, converged) if full_result else x
+    res = solve_constrained(q, x0=None, ctl=ctl)
+    x = res.x.flatten(order="F")
+    return (x, res.converged) if full_result else x
 
 
 def classical_sketch_solve(
@@ -573,24 +555,21 @@ def ihs_solve(
                 with apply_lock:
                     certs.append(_round_certificates(op, u_basis, a @ (ref - x), mu))
             c = gram @ x + mu * (a.T @ (y - a @ x) / n)
-            q = SketchedQuadratic(None, c, cset, G=gram)
-            if unconstrained:
-                x = solve_unconstrained(q)
-                converged, iters = True, 0
-            else:
+            ctl, lam = config.inner, None
+            if not unconstrained:
                 lam = top_eigenvalue(gram)
-                ctl = config.inner
                 if config.inner_schedule == "tracking" and t >= 2:
                     outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
                     tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
                     if tol > ctl.resolve_tol(c):
                         ctl = replace(ctl, tol=tol)
-                res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
-                x, converged, iters = res.x, res.converged, res.iterations
-            del op, gram, q     # free this round's Gram before taking the next
+            res = solve_constrained(SketchedQuadratic(None, c, cset, G=gram), x0=x, ctl=ctl,
+                                    lam_max=lam)
+            del op, gram        # free this round's Gram before taking the next
+            x = res.x
             seconds.append(time.perf_counter() - tic)
-            flags.append(converged)
-            inner_iters.append(iters)
+            flags.append(res.converged)
+            inner_iters.append(res.iterations)
             xs.append(x)
     finally:
         # after a failure no round of this solve is left queued or running

@@ -114,13 +114,13 @@ def explicit_sketch(matrix) -> SketchOperator:
                           oversampled=m.shape[0] > m.shape[1])
 
 
-def identity_sketch(n: int, scaled: bool = True) -> SketchOperator:
-    """The m = n override S = sqrt(n) I (or plain I when ``scaled=False``).
+def identity_sketch(n: int) -> SketchOperator:
+    """The m = n override S = sqrt(n) I.
 
-    With scaling, ``S^T S / m = I`` holds exactly, so sketched solvers
-    coincide with their unsketched counterparts.
+    ``S^T S / m = I`` holds exactly, so sketched solvers coincide with
+    their unsketched counterparts.
     """
-    return explicit_sketch(np.sqrt(n) * np.eye(n) if scaled else np.eye(n))
+    return explicit_sketch(np.sqrt(n) * np.eye(n))
 
 
 def build_sketch(spec: SketchSpec, n: int, leverage_p=None) -> SketchOperator:

@@ -1,13 +1,15 @@
 """Inner solver for sketched quadratics over a constraint set.
 
-The objective is ``g(x) = 0.5 ||B x||^2 - <c, x>``. Unconstrained
-problems are solved directly through the normal equations; constrained
-problems by projected gradient, by default with Nesterov momentum that
-restarts whenever the objective fails to decrease, which keeps the
+The objective is ``g(x) = 0.5 x^T G x - <c, x>`` with ``G = B^T B``.
+The exact solve, the classical and Hessian sketches and every IHS
+round minimize such a quadratic and differ only in G and c, so
+:func:`solve_constrained` is the one inner solver of them all. Over
+``Unconstrained`` it solves ``G x = c`` exactly by Cholesky; over any
+other set it runs projected gradient, by default with Nesterov momentum
+that restarts whenever the objective fails to decrease, which keeps the
 accepted iterates monotone. The gradient step is 1/L with
-``L = OPNORM_SAFETY * lambda_max(B^T B)``, the top eigenvalue taken
-exactly from the Gram matrix that the iteration forms anyway (or handed
-in by a caller that has computed it already).
+``L = OPNORM_SAFETY * lambda_max(G)``, the top eigenvalue taken exactly
+from G (or handed in by a caller that has computed it already).
 """
 
 from __future__ import annotations
@@ -106,31 +108,31 @@ def project_iterate(cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
     return project(cset, x.ravel(order="F")).reshape(x.shape, order="F")
 
 
-def solve_unconstrained(q: SketchedQuadratic) -> np.ndarray:
-    """Exact minimizer ``(B^T B)^{-1} c`` of the unconstrained quadratic."""
-    try:
-        return solve_psd(q.G, q.c)
-    except SingularMatrixError as exc:
-        raise RankDeficiencyError(
-            "sketched Gram matrix B^T B is singular; increase the sketch size m "
-            f"(pivot {exc.pivot})"
-        ) from exc
-
-
 def solve_constrained(
     q: SketchedQuadratic,
     x0: Optional[np.ndarray] = None,
     ctl: Optional[SolverControls] = None,
     lam_max: Optional[float] = None,
 ) -> SubsolveResult:
-    """Projected-gradient minimization of ``q`` over its constraint set.
+    """Minimize ``q`` over its constraint set.
 
-    Starts from the projection of ``x0`` (zero if omitted), keeps every
-    iterate feasible, and stops once the gradient mapping
-    ``L ||x - P_C(x - grad g(x)/L)||`` drops below the tolerance.
-    ``lam_max`` is ``lambda_max(q.G)`` when the caller has it already;
-    otherwise it is computed here.
+    Over ``Unconstrained`` the result is the exact minimizer
+    ``G^-1 c``, with 0 iterations, and ``x0``, ``ctl`` and ``lam_max``
+    are not read. A singular G raises :class:`RankDeficiencyError`.
+
+    Over any other set projected gradient starts from the projection of
+    ``x0`` (zero if omitted), keeps every iterate feasible, and stops
+    once the gradient mapping ``L ||x - P_C(x - grad g(x)/L)||`` drops
+    below the tolerance. ``lam_max`` is ``lambda_max(q.G)`` when the
+    caller has it already; otherwise it is computed here.
     """
+    if isinstance(q.set, Unconstrained):
+        try:
+            return SubsolveResult(solve_psd(q.G, q.c), True, 0, 0.0)
+        except SingularMatrixError as exc:
+            raise RankDeficiencyError(
+                f"Gram matrix is singular (pivot {exc.pivot}): A is rank deficient "
+                "or the sketch size m is too small") from exc
     ctl = ctl or SolverControls()
     gram = q.G
     tol = ctl.resolve_tol(q.c)

@@ -438,6 +438,26 @@ class TestConfigFile:
         assert run(["experiment", "--config", cfg, "--gamma", "8"]) == 0
         capsys.readouterr()
 
+    def test_flag_name_keys(self, tmp_path, capsys):
+        # out, sketch, constraint and id name options whose parameters are
+        # out_prefix, kind, constraint_json and exp_id
+        cfg = tmp_path / "solve.toml"
+        cfg.write_text(f'out = "{tmp_path / "runs" / "x"}"\nsketch = "ros"\n'
+                       "constraint = '{\"type\": \"l1\", \"radius\": 0.5}'\n"
+                       'method = "hessian"\ngenerate = "unconstrained"\n'
+                       "n = 60\nd = 4\nm = 30\nseed = 2\n")
+        assert run(["solve", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "runs" / "x_report.json").read_text())
+        assert report["sketch"]["kind"] == "ros"
+        x = np.loadtxt(tmp_path / "runs" / "x_solution.csv")
+        assert np.abs(x).sum() <= 0.5 + 1e-9
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text(f'id = "fig3"\nout = "{tmp_path / "f.csv"}"\nseed = 3\n'
+                       "trials = 1\nd = 16\nthreads = 1\n")
+        assert run(["experiment", "--config", cfg]) == 0
+        assert (tmp_path / "f.csv").read_text().splitlines()[1].startswith("fig3,")
+        capsys.readouterr()
+
     @pytest.mark.parametrize("text, message", [
         ("n = True\n", "run.toml: Invalid value (at line 1"),
         ("seed = 1\nseed = 2\n", "run.toml: Cannot overwrite a value"),
@@ -495,6 +515,15 @@ class TestExperiment:
             assert {line.split(",")[-1].split(";")[0] for line in lines[1:]} == {
                 "gamma=4", "gamma=6"}
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--threads", "-3")])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        code = run(["experiment", "--id", "fig1", "--out", out, "--seed", "1",
+                    "--n", "100", flag, value])
+        assert code == 1
+        assert f"{flag[2:]}={value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_id_lists_valid(self, tmp_path, capsys):
         code = run(["experiment", "--id", "fig9", "--out", tmp_path / "x.csv", "--seed", "1"])

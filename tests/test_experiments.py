@@ -3,39 +3,40 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ihskit.experiments as experiments
 from ihskit.experiments import (
     CSV_HEADER,
-    EnsembleSpec,
     gen_lowrank,
     gen_sparse,
     gen_unconstrained,
-    prediction_seminorm,
     read_rows,
     run_experiment,
     summarize,
     write_rows,
 )
-from ihskit.ihs import solve_exact
+from ihskit.ihs import LsProblem, solve_exact
+from ihskit.subsolver import SolverControls
 
 rng = np.random.default_rng(777)
 
 
 class TestSeminorm:
     def test_zero_at_reference(self):
-        a = rng.standard_normal((6, 3))
+        prob = LsProblem(rng.standard_normal((6, 3)), np.zeros(6))
         x = rng.standard_normal(3)
-        assert prediction_seminorm(a, x, x) == 0.0
+        assert prob.seminorm(x - x) == 0.0
 
     def test_identity_design(self):
         x = np.array([3.0, 4.0])
         ref = np.zeros(2)
-        assert prediction_seminorm(np.eye(2), x, ref) == pytest.approx(5.0 / np.sqrt(2))
+        prob = LsProblem(np.eye(2), np.zeros(2))
+        assert prob.seminorm(x - ref) == pytest.approx(5.0 / np.sqrt(2))
 
     def test_matches_direct_formula(self):
         a = rng.standard_normal((20, 4))
         x, ref = rng.standard_normal(4), rng.standard_normal(4)
         want = np.sqrt(np.sum((a @ (x - ref)) ** 2) / 20)
-        assert prediction_seminorm(a, x, ref) == pytest.approx(want, abs=1e-14)
+        assert LsProblem(a, np.zeros(20)).seminorm(x - ref) == pytest.approx(want, abs=1e-14)
 
 
 class TestGenerators:
@@ -205,21 +206,20 @@ def test_full_scale_overrides_match_runner_signatures():
             assert key in params, f"{exp_id}: unknown override {key}"
 
 
-class TestEnsembleSpec:
-    def test_generate_dispatches_and_is_deterministic(self):
-        spec = EnsembleSpec("sparse", n=120, d=16, s=4, sigma=0.5, trials=3, seed=21)
-        p1, p2 = spec.generate(1), spec.generate(1)
-        assert np.array_equal(p1.A, p2.A)
-        assert np.count_nonzero(p1.truth) == 4
-        assert not np.array_equal(spec.generate(0).A, p1.A)
+def test_capped_solvers_flag_every_comparison_row(monkeypatch):
+    # an inner solver capped at one iteration leaves each constrained solve
+    # unconverged, and the exact and classical rows say so as the ihs row does
+    capped = SolverControls(max_iter=1)
+    for name in ("solve_exact", "classical_sketch_solve"):
+        solver = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, solver=solver, **kw: solver(*args, ctl=capped, **kw))
+    rows = run_experiment("fig5", seed=4, d_grid=(16,), trials=1, rounds=2)
+    assert [row.method for row in rows] == ["exact", "ihs", "classical"]
+    assert [row.flag for row in rows] == ["nonconverged", "", "nonconverged"]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("sparse", n=100, d=8, s=9, seed=0)
-        with pytest.raises(ValueError):
-            EnsembleSpec("lowrank", n=100, d1=4, d2=4, r=5, seed=0)
-        with pytest.raises(ValueError):
-            EnsembleSpec("mystery", n=10, d=2, seed=0)
-        spec = EnsembleSpec("unconstrained", n=50, d=5, seed=0, trials=2)
-        with pytest.raises(ValueError):
-            spec.generate(2)
+
+@pytest.mark.parametrize("kw", [{"trials": 0}, {"threads": 0}, {"threads": -3}])
+def test_trial_and_thread_counts_below_one_rejected(kw):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        run_experiment("fig1", seed=1, n_grid=(100,), **{"trials": 1, **kw})

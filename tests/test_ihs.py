@@ -51,6 +51,12 @@ class TestSolveExact:
             prob = LsProblem(a, np.zeros(10), set=cset)
             assert np.max(np.abs(solve_exact(prob))) <= 1e-9
 
+    def test_rank_deficient_unconstrained_raises(self):
+        a = rng.standard_normal((20, 3))
+        prob = LsProblem(np.column_stack([a, np.zeros(20)]), rng.standard_normal(20))
+        with pytest.raises(RankDeficiencyError, match="rank deficient"):
+            solve_exact(prob)
+
     def test_normal_equations_residual(self):
         prob = gen_unconstrained(50, 5, 1.0, 42)
         x = solve_exact(prob)
@@ -79,7 +85,7 @@ class TestIdentitySketchExactness:
     def test_classical_plain_identity_override(self):
         # unscaled S = I also works for the classical sketch (pure rescaling)
         prob = self._problems()[0]
-        x = classical_sketch_solve(prob, operator=identity_sketch(prob.n, scaled=False))
+        x = classical_sketch_solve(prob, operator=explicit_sketch(np.eye(prob.n)))
         assert prob.seminorm(x - solve_exact(prob)) <= 1e-9
 
     def test_hessian(self):

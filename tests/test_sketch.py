@@ -88,8 +88,8 @@ def test_rowsample_uniform_rows():
 
 def test_apply_identity_override():
     a = rng.standard_normal((7, 3))
-    assert np.array_equal(identity_sketch(7, scaled=False).apply(a), a)
-    scaled = identity_sketch(7, scaled=True)
+    assert np.array_equal(explicit_sketch(np.eye(7)).apply(a), a)
+    scaled = identity_sketch(7)
     assert np.allclose(scaled.apply(a), np.sqrt(7) * a)
     # S^T S / m = I for the scaled override
     s = scaled.materialize()

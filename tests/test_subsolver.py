@@ -3,12 +3,8 @@ import pytest
 
 from ihskit.constraints import Box, L1Ball, Simplex, Unconstrained, contains, project
 from ihskit.errors import RankDeficiencyError
-from ihskit.subsolver import (
-    SketchedQuadratic,
-    SolverControls,
-    solve_constrained,
-    solve_unconstrained,
-)
+from ihskit.linalg import solve_psd
+from ihskit.subsolver import SketchedQuadratic, SolverControls, solve_constrained
 
 rng = np.random.default_rng(888)
 
@@ -16,33 +12,49 @@ rng = np.random.default_rng(888)
 class TestUnconstrained:
     def test_identity(self):
         q = SketchedQuadratic(np.eye(2), [1.0, 2.0])
-        assert solve_unconstrained(q) == pytest.approx([1, 2])
+        assert solve_constrained(q).x == pytest.approx([1, 2])
 
     def test_diagonal(self):
         q = SketchedQuadratic(np.diag([2.0, 1.0]), [4.0, 1.0])
-        assert solve_unconstrained(q) == pytest.approx([1, 1])
+        assert solve_constrained(q).x == pytest.approx([1, 1])
 
     def test_matches_pseudo_inverse(self):
         b = rng.standard_normal((30, 5))
         c = rng.standard_normal(5)
-        x = solve_unconstrained(SketchedQuadratic(b, c))
+        x = solve_constrained(SketchedQuadratic(b, c)).x
         want = np.linalg.pinv(b.T @ b) @ c
         assert np.max(np.abs(x - want)) <= 1e-8
+
+    def test_exact_solve_without_iterations(self):
+        b = rng.standard_normal((30, 5))
+        c = rng.standard_normal((5, 2))
+        q = SketchedQuadratic(b, c, Unconstrained())
+        # neither the iteration cap nor the start point is read
+        res = solve_constrained(q, x0=np.ones((5, 2)), ctl=SolverControls(max_iter=1))
+        assert res.converged and res.iterations == 0 and res.grad_map_norm == 0.0
+        assert np.array_equal(res.x, solve_psd(q.G, c))
 
     def test_singular_gram_rejected(self):
         b = np.ones((4, 3))  # rank one
         with pytest.raises(RankDeficiencyError, match="sketch size m"):
-            solve_unconstrained(SketchedQuadratic(b, np.ones(3)))
+            solve_constrained(SketchedQuadratic(b, np.ones(3)))
+
+    def test_singular_gram_given_directly_rejected(self):
+        g = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(RankDeficiencyError, match=r"pivot 1\).*sketch size m"):
+            solve_constrained(SketchedQuadratic(None, np.ones(3), G=g))
 
 
 class TestConstrained:
     def test_matches_direct_solve_when_unconstrained(self):
+        # a box that holds the unconstrained minimizer leaves projected
+        # gradient with the Cholesky solution
         b = rng.standard_normal((25, 6))
         c = rng.standard_normal(6)
-        q = SketchedQuadratic(b, c, Unconstrained())
+        want = solve_psd(b.T @ b, c)
+        q = SketchedQuadratic(b, c, Box(-10.0 * np.abs(want).max(), 10.0 * np.abs(want).max()))
         res = solve_constrained(q, ctl=SolverControls(max_iter=20000))
-        want = solve_unconstrained(q)
-        assert res.converged
+        assert res.converged and res.iterations > 1
         assert np.max(np.abs(res.x - want)) <= 1e-6
 
     def test_box_clamps_separable_optimum(self):
