@@ -123,8 +123,8 @@ def project(cset: ConstraintSet, x) -> np.ndarray:
         return np.clip(xv, lo, hi)
     if isinstance(cset, NuclearBall):
         _check_nuclear_dim(cset, xv.size)
-        xm = xv.reshape((cset.d1, cset.d2), order="F")
-        u, s, vt = thin_svd(xm)
+        # xv is checked: the SVD takes its column-major view as it is
+        u, s, vt = thin_svd(xv.reshape((cset.d1, cset.d2), order="F"), check_finite=False)
         s_proj = _project_l1(s, cset.radius)
         return ((u * s_proj) @ vt).ravel(order="F")
     raise TypeError(f"unknown constraint set {cset!r}")
@@ -144,7 +144,7 @@ def contains(cset: ConstraintSet, x, tol: float = 0.0) -> bool:
         return bool(np.all(xv >= lo - tol) and np.all(xv <= hi + tol))
     if isinstance(cset, NuclearBall):
         _check_nuclear_dim(cset, xv.size)
-        s = thin_svd(xv.reshape((cset.d1, cset.d2), order="F")).singular_values
+        s = thin_svd(xv.reshape((cset.d1, cset.d2), order="F"), check_finite=False).singular_values
         return float(s.sum()) <= cset.radius + tol
     raise TypeError(f"unknown constraint set {cset!r}")
 

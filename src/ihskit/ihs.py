@@ -48,7 +48,10 @@ warm-started at x_t. ``IhsConfig.inner_schedule`` sets its tolerance:
   x_{t-2}||)``, where the floor is the fixed tolerance below. The inner
   accuracy only keeps pace with the outer progress (Schmidt, Le Roux &
   Bach, NeurIPS 2011; the inexact subproblems of Pilanci & Wainwright's
-  Newton sketch, SIAM J. Optim. 2017). Round 1 keeps the floor;
+  Newton sketch, SIAM J. Optim. 2017). Round 1 keeps the floor. The
+  tolerance bounds the inner solver's ``grad_map_norm``, the gradient
+  mapping at the point of its last step, which bounds that of the
+  round's result within a factor of 2 (see ``ihskit.subsolver``);
 * ``"fixed"`` - every round stops at ``IhsConfig.inner.resolve_tol(c)``,
   by default ``1e-10 * max(1, ||c||)``. This is the paper's iteration,
   whose contraction argument assumes exact subproblem solves, and the
@@ -61,13 +64,14 @@ helps: gradient steps converge last along the small eigenvalues of G,
 where a sketch that underestimates the curvature makes the exact step
 overshoot. On the 16 perfbench ``lowrank_nuclear`` problems of seeds
 902-903 (nuclear ball, 1440 x 144 in 12 blocks, Gaussian m = 72), the
-tracking rounds moved a median 0.78-0.81 of the way to the exact
-minimizer along the lower half of G's spectrum and 0.99 along the upper
-half. The error shrank by a median factor of 0.30-0.32 per round,
-against 0.44-0.46 for exact solves and 0.34 for exact solves damped by
-the best constant of each round (about 0.77). To a relative error of
-1e-8 that took 16-18 rounds, against 24-25 exact and 19 at a constant
-damping of 0.8.
+tracking rounds of an earlier stopping test (the gradient mapping at
+the result, factor 0.01) moved a median 0.78-0.81 of the way to the
+exact minimizer along the lower half of G's spectrum and 0.99 along
+the upper half, and exact solves damped by the best constant of each
+round (about 0.77) shrank the error by a median 0.34 per round. With
+today's test and factor the error shrinks by a median factor of 0.29
+per round, against 0.46 for exact solves, and a relative error of 1e-8
+takes 14-18 rounds (median 15.5), against 23-29 (median 24) exact.
 
 A round's sketch does not depend on the iterate, so ``ihs_solve``
 draws and applies it ahead of time: rounds t+1 and t+2 are drawn,
@@ -116,12 +120,16 @@ __all__ = [
 STEPS = ("plain", "tuned")
 INNER_SCHEDULES = ("tracking", "fixed")
 
-# Tracking inner tolerance per unit of sqrt(lambda_max(G)) * outer step.
-# On the perfbench problems of seed 902, factors of 0.003, 0.01, 0.03
-# and 0.1 took 23.9, 17.8, 18.8 and 23.3 rounds to a relative error of
-# 1e-8 on lowrank_nuclear, and 13.6, 12.2, 11.0 and 15.6 on lasso_ros.
-# At 0.1 the median round stops after a single inner iteration.
-TRACKING_FACTOR = 0.01
+# Tracking inner tolerance per unit of sqrt(lambda_max(G)) * outer step,
+# on the inner solver's stopping measure: the gradient mapping at the
+# point of its last step, which bounds that of the returned iterate
+# within a factor of 2. On the perfbench problems of seeds 1301-1306,
+# factors of 0.005, 0.01, 0.02, 0.04 and 0.1 took a mean 22.0, 18.2,
+# 15.4, 17.5 and 21.5 rounds to perfbench's target on lowrank_nuclear,
+# and 13.6, 12.8, 11.4, 11.1 and 13.3 on lasso_ros. Both sides of 0.02
+# lose rounds: looser rounds stop short of progress, tighter ones damp
+# the outer step less.
+TRACKING_FACTOR = 0.02
 
 # Rounds whose sketch is drawn and applied ahead of the round being
 # solved, one on each worker of the shared pool.
@@ -554,18 +562,17 @@ def ihs_solve(
             if want_certs:
                 with apply_lock:
                     certs.append(_round_certificates(op, u_basis, a @ (ref - x), mu))
-            c = gram @ x + mu * (a.T @ (y - a @ x) / n)
+            q = SketchedQuadratic(None, gram @ x + mu * (a.T @ (y - a @ x) / n), cset, G=gram)
             ctl, lam = config.inner, None
             if not unconstrained:
-                lam = top_eigenvalue(gram)
+                lam = top_eigenvalue(q.G, check_finite=False)    # q has checked G
                 if config.inner_schedule == "tracking" and t >= 2:
                     outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
                     tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
-                    if tol > ctl.resolve_tol(c):
+                    if tol > ctl.resolve_tol(q.c):
                         ctl = replace(ctl, tol=tol)
-            res = solve_constrained(SketchedQuadratic(None, c, cset, G=gram), x0=x, ctl=ctl,
-                                    lam_max=lam)
-            del op, gram        # free this round's Gram before taking the next
+            res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
+            del op, gram, q     # free this round's Gram before taking the next
             x = res.x
             seconds.append(time.perf_counter() - tic)
             flags.append(res.converged)

@@ -174,9 +174,14 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def thin_svd(a) -> SvdResult:
-    """Thin SVD ``A = U diag(s) Vt`` with nonincreasing singular values."""
-    m = ensure_matrix(a, "A")
+def thin_svd(a, check_finite: bool = True) -> SvdResult:
+    """Thin SVD ``A = U diag(s) Vt`` with nonincreasing singular values.
+
+    ``check_finite=False``, as in ``scipy.linalg``, trusts a finite
+    float64 matrix that the caller has checked already, and hands it to
+    LAPACK in whatever memory order it has, without a copy.
+    """
+    m = ensure_matrix(a, "A") if check_finite else a
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         return SvdResult(u, s, vt)
@@ -184,21 +189,27 @@ def thin_svd(a) -> SvdResult:
         pass
     try:
         # gesdd occasionally fails where the slower gesvd succeeds
-        u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+        u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd",
+                                    check_finite=False)
         return SvdResult(u, s, vt)
     except Exception as exc:
         raise SvdConvergenceError(f"SVD failed to converge: {exc}", attempts=2) from exc
 
 
-def solve_psd(g, b) -> np.ndarray:
+def solve_psd(g, b, check_finite: bool = True) -> np.ndarray:
     """Solve ``G x = b`` for symmetric positive definite G via Cholesky.
 
     ``b`` is a vector or a matrix of right-hand sides. Raises
     :class:`SingularMatrixError` carrying the 0-based index of the first
     non-positive pivot, as LAPACK ``potrf`` reports it.
+    ``check_finite=False`` trusts float64 arrays that the caller has
+    checked already and skips their scan.
     """
-    gm = ensure_matrix(g, "G")
-    bv = (ensure_vector if np.ndim(b) == 1 else ensure_matrix)(b, "b")
+    if check_finite:
+        gm = ensure_matrix(g, "G")
+        bv = (ensure_vector if np.ndim(b) == 1 else ensure_matrix)(b, "b")
+    else:
+        gm, bv = g, b
     if gm.shape[0] != gm.shape[1]:
         raise DimensionError(f"G must be square, got {gm.shape}")
     if gm.shape[0] != bv.shape[0]:
@@ -211,18 +222,21 @@ def solve_psd(g, b) -> np.ndarray:
         raise SingularMatrixError(
             f"matrix is not positive definite (pivot {pivot} <= tolerance)", pivot=pivot
         ) from exc
-    z = scipy.linalg.solve_triangular(low, bv, lower=True)
-    return scipy.linalg.solve_triangular(low.T, z, lower=False)
+    # the factor of a finite G is finite: scipy need not scan it again
+    z = scipy.linalg.solve_triangular(low, bv, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(low.T, z, lower=False, check_finite=False)
 
 
-def top_eigenvalue(g) -> float:
+def top_eigenvalue(g, check_finite: bool = True) -> float:
     """Largest eigenvalue of a symmetric matrix.
 
     LAPACK ``syevr`` computes that one eigenvalue alone. On one BLAS
     thread at d = 128-144 that takes about 70% of the time of the full
     spectrum; below d of about 50 the call overhead makes it no faster.
+    ``check_finite=False`` trusts a float64 matrix that the caller has
+    checked already and skips its scan.
     """
-    gm = ensure_matrix(g, "G")
+    gm = ensure_matrix(g, "G") if check_finite else g
     if gm.shape[0] != gm.shape[1]:
         raise DimensionError(f"G must be square, got {gm.shape}")
     d = gm.shape[0]

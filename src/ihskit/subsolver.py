@@ -6,10 +6,23 @@ round minimize such a quadratic and differ only in G and c, so
 :func:`solve_constrained` is the one inner solver of them all. Over
 ``Unconstrained`` it solves ``G x = c`` exactly by Cholesky; over any
 other set it runs projected gradient, by default with Nesterov momentum
-that restarts whenever the objective fails to decrease, which keeps the
-accepted iterates monotone. The gradient step is 1/L with
-``L = OPNORM_SAFETY * lambda_max(G)``, the top eigenvalue taken exactly
-from G (or handed in by a caller that has computed it already).
+(FISTA, Beck & Teboulle 2009) that restarts whenever the objective fails
+to decrease, which keeps the accepted iterates monotone. The gradient
+step is 1/L with ``L = OPNORM_SAFETY * lambda_max(G)``, the top
+eigenvalue taken exactly from G (or handed in by a caller that has
+computed it already).
+
+Each iteration costs one projection and one product with G, plus one
+of each per restart. The stopping test reads the gradient mapping at
+the point z the step was taken from, ``L ||x_new - z||`` with
+``x_new = P_C(z - grad g(z) / L)``, which the step yields for free;
+the gradient mapping at ``x_new`` itself is at most twice that
+(Nesterov, Math. Program. 2013). The product ``G x_new`` gives both the
+objective at x_new and, through ``G z_next = G x_new + beta (G x_new -
+G x)``, the next gradient.
+
+:class:`SketchedQuadratic` checks G once, when it is built, and the
+solver trusts it from then on.
 """
 
 from __future__ import annotations
@@ -33,8 +46,9 @@ class SketchedQuadratic:
 
     ``G`` is the Gram matrix ``B^T B``. A caller that has formed it
     already passes it in; otherwise it is formed once at construction.
-    The solvers read only G, so a caller holding G may pass ``B=None``
-    and free B.
+    Either way it is checked here, once: a non-finite G raises
+    :class:`NonFiniteError`. The solvers read only G, so a caller holding
+    G may pass ``B=None`` and free B.
     """
 
     B: Optional[np.ndarray]
@@ -48,7 +62,7 @@ class SketchedQuadratic:
         elif self.G is None:
             raise ValueError("SketchedQuadratic needs B or its Gram matrix G")
         self.c = (ensure_vector if np.ndim(self.c) == 1 else ensure_matrix)(self.c, "c")
-        self.G = self.gram() if self.G is None else ensure_matrix(self.G, "G")
+        self.G = ensure_matrix(self.gram() if self.G is None else self.G, "G")
         d = (self.G if self.B is None else self.B).shape[1]
         if d != self.c.shape[0]:
             raise DimensionError(f"B has {d} columns but c has length {self.c.shape[0]}")
@@ -66,9 +80,12 @@ class SketchedQuadratic:
 class SolverControls:
     """Termination controls for the projected-gradient solver.
 
-    ``tol`` bounds the gradient-mapping norm; ``None`` selects the
-    default ``1e-10 * max(1, ||c||_2)``, tight enough that outer
-    contraction arguments treating inner solves as exact stay valid.
+    ``tol`` bounds the stopping measure, the gradient mapping
+    ``L ||x_new - z||`` at the point z of the last step (see the module
+    docstring), so the returned iterate's own gradient mapping is at
+    most ``2 tol``; ``None`` selects the default
+    ``1e-10 * max(1, ||c||_2)``, tight enough that outer contraction
+    arguments treating inner solves as exact stay valid.
 
     Inside ``ihs_solve`` this tolerance is a floor. Under the default
     ``IhsConfig(inner_schedule="tracking")`` every constrained round
@@ -97,10 +114,19 @@ class SolverControls:
 
 @dataclass
 class SubsolveResult:
+    """Outcome of :func:`solve_constrained`.
+
+    ``grad_map_norm`` is the stopping measure of the last iteration,
+    ``L ||x - z||`` for the returned x and the point z its step was
+    taken from; ``restarts`` counts the momentum restarts, each of
+    which cost one more projection and one more product with G.
+    """
+
     x: np.ndarray
     converged: bool
     iterations: int
     grad_map_norm: float
+    restarts: int = 0
 
 
 def project_iterate(cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
@@ -122,13 +148,19 @@ def solve_constrained(
 
     Over any other set projected gradient starts from the projection of
     ``x0`` (zero if omitted), keeps every iterate feasible, and stops
-    once the gradient mapping ``L ||x - P_C(x - grad g(x)/L)||`` drops
-    below the tolerance. ``lam_max`` is ``lambda_max(q.G)`` when the
-    caller has it already; otherwise it is computed here.
+    once the gradient mapping at the point z of the last step,
+    ``L ||x_new - z||`` with ``x_new = P_C(z - grad g(z)/L)``, drops
+    below the tolerance; it returns x_new, whose own gradient mapping
+    ``L ||x_new - P_C(x_new - grad g(x_new)/L)||`` is then at most twice
+    the tolerance. Without acceleration z is the previous iterate. An
+    iteration costs one projection and one product with G, and a
+    momentum restart one more of each. ``lam_max`` is
+    ``lambda_max(q.G)`` when the caller has it already; otherwise it is
+    computed here.
     """
     if isinstance(q.set, Unconstrained):
         try:
-            return SubsolveResult(solve_psd(q.G, q.c), True, 0, 0.0)
+            return SubsolveResult(solve_psd(q.G, q.c, check_finite=False), True, 0, 0.0)
         except SingularMatrixError as exc:
             raise RankDeficiencyError(
                 f"Gram matrix is singular (pivot {exc.pivot}): A is rank deficient "
@@ -136,39 +168,50 @@ def solve_constrained(
     ctl = ctl or SolverControls()
     gram = q.G
     tol = ctl.resolve_tol(q.c)
-    lip = OPNORM_SAFETY * (top_eigenvalue(gram) if lam_max is None else lam_max)
+    if lam_max is None:
+        lam_max = top_eigenvalue(gram, check_finite=False)
+    lip = OPNORM_SAFETY * lam_max
     if lip <= 0.0:
         lip = 1.0
 
-    def value(v):
-        return 0.5 * float(np.vdot(v, gram @ v)) - float(np.vdot(q.c, v))
+    def value(v, gv):
+        return 0.5 * float(np.vdot(v, gv)) - float(np.vdot(q.c, v))
 
+    def step_from(v, gv):
+        """The projected gradient step from v, its product with G and its value."""
+        v_new = project_iterate(q.set, v - (gv - q.c) / lip)
+        g_new = gram @ v_new
+        return v_new, g_new, value(v_new, g_new)
+
+    # x is the last accepted iterate and z the point the next step is
+    # taken from; gx = G x and gz = G z ride along, so that an iteration
+    # costs one product G x_new and one projection.
     x = project_iterate(q.set, np.zeros_like(q.c) if x0 is None else np.asarray(x0, float))
-    z = x.copy()
+    gx = gram @ x
+    fx = value(x, gx)
+    z, gz = x, gx
     tk = 1.0
-    fx = value(x)
     grad_map = np.inf
-    iterations = 0
+    iterations = restarts = 0
     for iterations in range(1, ctl.max_iter + 1):
+        x_new, g_new, f_new = step_from(z, gz)
+        if f_new > fx and z is not x:
+            # momentum overshot: restart from the last accepted iterate
+            # (a step from x itself has nothing to restart)
+            restarts += 1
+            z, gz, tk = x, gx, 1.0
+            x_new, g_new, f_new = step_from(z, gz)
+        # the gradient mapping at z; that at x_new is at most twice it
+        grad_map = lip * float(np.linalg.norm(x_new - z))
         if ctl.acceleration:
-            x_new = project_iterate(q.set, z - (gram @ z - q.c) / lip)
-            f_new = value(x_new)
-            if f_new > fx:
-                # momentum overshot: restart from the last accepted iterate
-                z = x.copy()
-                tk = 1.0
-                x_new = project_iterate(q.set, z - (gram @ z - q.c) / lip)
-                f_new = value(x_new)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            z = x_new + ((tk - 1.0) / t_next) * (x_new - x)
+            beta = (tk - 1.0) / t_next
             tk = t_next
-            step = project_iterate(q.set, x_new - (gram @ x_new - q.c) / lip)
-            grad_map = lip * float(np.linalg.norm(x_new - step))
+            z = x_new + beta * (x_new - x)
+            gz = g_new + beta * (g_new - gx)
         else:
-            x_new = project_iterate(q.set, x - (gram @ x - q.c) / lip)
-            f_new = value(x_new)
-            grad_map = lip * float(np.linalg.norm(x - x_new))
-        x, fx = x_new, f_new
+            z, gz = x_new, g_new
+        x, gx, fx = x_new, g_new, f_new
         if grad_map <= tol:
-            return SubsolveResult(x, True, iterations, grad_map)
-    return SubsolveResult(x, False, iterations, grad_map)
+            return SubsolveResult(x, True, iterations, grad_map, restarts)
+    return SubsolveResult(x, False, iterations, grad_map, restarts)

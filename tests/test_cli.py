@@ -350,7 +350,7 @@ class TestExitCodes:
         import ihskit.constraints
         from ihskit.errors import SvdConvergenceError
 
-        def failing_svd(x):
+        def failing_svd(x, check_finite=True):
             raise SvdConvergenceError("SVD did not converge")
 
         monkeypatch.setattr(ihskit.constraints, "thin_svd", failing_svd)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ihskit.constraints import Box, L1Ball, Unconstrained, contains
-from ihskit.errors import DimensionError, MissingHintError, RankDeficiencyError
+from ihskit.errors import DimensionError, MissingHintError, NonFiniteError, RankDeficiencyError
 from ihskit.experiments import gen_lowrank, gen_sparse, gen_unconstrained
 from ihskit.ihs import (
     IhsConfig,
@@ -148,6 +148,17 @@ class TestIhsSolve:
         rep = ihs_solve(prob, cfg, reference=x_ls)
         # stationary point of the variational inequality: stays put to solver tol
         assert max(rep.errors_to_ls) <= 1e-6
+
+    @pytest.mark.parametrize("make", [lambda: gen_sparse(60, 6, 2, 1.0, 19),
+                                      lambda: gen_unconstrained(60, 6, 1.0, 19)],
+                             ids=["l1", "unconstrained"])
+    def test_non_finite_sketched_gram_raises(self, make):
+        prob = make()
+        # every sketch entry is finite, but the sketched Gram overflows
+        big = explicit_sketch(np.full((12, prob.n), 1e200))
+        cfg = IhsConfig(SketchSpec("gaussian", 12, 1), rounds=2)
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            ihs_solve(prob, cfg, operator_factory=lambda t: big)
 
     def test_geometric_decay(self):
         prob = gen_unconstrained(2000, 50, 1.0, 17)

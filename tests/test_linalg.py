@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ihskit.errors import DimensionError, PowerOfTwoError, SingularMatrixError
+from ihskit.errors import DimensionError, NonFiniteError, PowerOfTwoError, SingularMatrixError
 from ihskit.linalg import (
     estimate_opnorm_sq,
     fwht_normalized,
@@ -203,3 +203,25 @@ class TestOpnormEstimate:
     def test_deterministic(self):
         b = rng.standard_normal((9, 4))
         assert estimate_opnorm_sq(b, seed=5) == estimate_opnorm_sq(b, seed=5)
+
+
+class TestCheckFinite:
+    def test_non_finite_input_rejected_by_default(self):
+        g = np.eye(3)
+        g[0, 2] = np.inf
+        for call in (lambda: thin_svd(g), lambda: solve_psd(g, np.ones(3)),
+                     lambda: top_eigenvalue(g)):
+            with pytest.raises(NonFiniteError):
+                call()
+
+    def test_unchecked_calls_match_checked(self):
+        gen = np.random.default_rng(4403)
+        a = gen.standard_normal((5, 4))
+        g = a.T @ a
+        b = gen.standard_normal(4)
+        # a column-major view goes to LAPACK as it is, with the same result
+        f = np.asfortranarray(a)
+        for got, want in zip(thin_svd(f, check_finite=False), thin_svd(a)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(solve_psd(g, b, check_finite=False), solve_psd(g, b))
+        assert top_eigenvalue(g, check_finite=False) == top_eigenvalue(g)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from ihskit.constraints import Box, L1Ball, Simplex, Unconstrained, contains, project
-from ihskit.errors import RankDeficiencyError
-from ihskit.linalg import solve_psd
+import ihskit.subsolver as subsolver_mod
+from ihskit.constraints import (
+    Box, L1Ball, NuclearBall, Simplex, Unconstrained, contains, project,
+)
+from ihskit.errors import NonFiniteError, RankDeficiencyError
+from ihskit.linalg import OPNORM_SAFETY, solve_psd, top_eigenvalue
 from ihskit.subsolver import SketchedQuadratic, SolverControls, solve_constrained
 
 rng = np.random.default_rng(888)
@@ -132,3 +135,66 @@ class TestConstrained:
         assert SolverControls().resolve_tol(np.zeros(3)) == pytest.approx(1e-10)
         assert SolverControls().resolve_tol(200.0 * np.ones(1)) == pytest.approx(2e-8)
         assert SolverControls(tol=1e-5).resolve_tol(np.ones(3)) == 1e-5
+
+
+class TestGramCheck:
+    def test_non_finite_gram_rejected_at_construction(self):
+        g = np.eye(3)
+        g[1, 2] = np.nan
+        with pytest.raises(NonFiniteError, match="G"):
+            SketchedQuadratic(None, np.ones(3), L1Ball(1.0), G=g)
+
+    def test_gram_formed_from_b_is_checked(self):
+        # every entry of B is finite, but B^T B overflows
+        with pytest.raises(NonFiniteError, match="G"), np.errstate(over="ignore"):
+            SketchedQuadratic(np.full((2, 3), 1e200), np.ones(3))
+
+
+def _ill_conditioned(gen, n, d):
+    """B with singular values spread over two decades, so that momentum
+    overshoots and restarts."""
+    u, _ = np.linalg.qr(gen.standard_normal((n, d)))
+    v, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    return (u * np.logspace(0, -2, d)) @ v.T
+
+
+class TestIterationCost:
+    @pytest.mark.parametrize("acceleration", [True, False])
+    def test_one_projection_per_iteration_and_restart(self, monkeypatch, acceleration):
+        gen = np.random.default_rng(4401)
+        b = _ill_conditioned(gen, 40, 12)
+        truth = gen.standard_normal(12)
+        q = SketchedQuadratic(b, b.T @ (b @ truth), L1Ball(0.5 * np.abs(truth).sum()))
+        calls = []
+        real = subsolver_mod.project
+
+        def counting(cset, x):
+            calls.append(cset)
+            return real(cset, x)
+
+        monkeypatch.setattr(subsolver_mod, "project", counting)
+        res = solve_constrained(
+            q, ctl=SolverControls(tol=1e-9, max_iter=20000, acceleration=acceleration))
+        assert res.converged and res.iterations > 10
+        # the initial projection of x0, one per step, one per restart
+        assert len(calls) == 1 + res.iterations + res.restarts
+        if acceleration:
+            assert res.restarts > 0
+        else:
+            assert res.restarts == 0
+
+
+class TestStoppingMeasure:
+    @pytest.mark.parametrize("cset", [L1Ball(0.8), NuclearBall(1.5, 4, 3), Simplex(),
+                                      Box(-0.3, 0.3)], ids=lambda c: type(c).__name__)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_returned_iterate_within_twice_the_tolerance(self, cset, tol):
+        gen = np.random.default_rng(4402)
+        b = gen.standard_normal((40, 12))
+        c = 3.0 * gen.standard_normal(12)
+        q = SketchedQuadratic(b, c, cset)
+        res = solve_constrained(q, ctl=SolverControls(tol=tol))
+        assert res.converged and res.grad_map_norm <= tol
+        lip = OPNORM_SAFETY * top_eigenvalue(q.G)
+        step = project(cset, res.x - (q.G @ res.x - c) / lip)
+        assert lip * np.linalg.norm(res.x - step) <= 2.0 * tol
