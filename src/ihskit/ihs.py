@@ -64,14 +64,9 @@ helps: gradient steps converge last along the small eigenvalues of G,
 where a sketch that underestimates the curvature makes the exact step
 overshoot. On the 16 perfbench ``lowrank_nuclear`` problems of seeds
 902-903 (nuclear ball, 1440 x 144 in 12 blocks, Gaussian m = 72), the
-tracking rounds of an earlier stopping test (the gradient mapping at
-the result, factor 0.01) moved a median 0.78-0.81 of the way to the
-exact minimizer along the lower half of G's spectrum and 0.99 along
-the upper half, and exact solves damped by the best constant of each
-round (about 0.77) shrank the error by a median 0.34 per round. With
-today's test and factor the error shrinks by a median factor of 0.29
-per round, against 0.46 for exact solves, and a relative error of 1e-8
-takes 14-18 rounds (median 15.5), against 23-29 (median 24) exact.
+error shrinks by a median factor of 0.29 per round under tracking,
+against 0.46 for exact solves, and a relative error of 1e-8 takes
+14-18 rounds (median 15.5), against 23-29 (median 24) exact.
 
 A round's sketch does not depend on the iterate, so ``ihs_solve``
 draws and applies it ahead of time: rounds t+1 and t+2 are drawn,
@@ -124,8 +119,8 @@ INNER_SCHEDULES = ("tracking", "fixed")
 # on the inner solver's stopping measure: the gradient mapping at the
 # point of its last step, which bounds that of the returned iterate
 # within a factor of 2. On the perfbench problems of seeds 1301-1306,
-# factors of 0.005, 0.01, 0.02, 0.04 and 0.1 took a mean 22.0, 18.2,
-# 15.4, 17.5 and 21.5 rounds to perfbench's target on lowrank_nuclear,
+# factors of 0.005, 0.01, 0.02, 0.04 and 0.1 took a mean 21.9, 18.2,
+# 15.4, 17.4 and 21.5 rounds to perfbench's target on lowrank_nuclear,
 # and 13.6, 12.8, 11.4, 11.1 and 13.3 on lasso_ros. Both sides of 0.02
 # lose rounds: looser rounds stop short of progress, tighter ones damp
 # the outer step less.
@@ -565,7 +560,7 @@ def ihs_solve(
             q = SketchedQuadratic(None, gram @ x + mu * (a.T @ (y - a @ x) / n), cset, G=gram)
             ctl, lam = config.inner, None
             if not unconstrained:
-                lam = top_eigenvalue(q.G, check_finite=False)    # q has checked G
+                lam = top_eigenvalue(q.G)
                 if config.inner_schedule == "tracking" and t >= 2:
                     outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
                     tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step

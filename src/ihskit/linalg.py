@@ -227,16 +227,17 @@ def solve_psd(g, b, check_finite: bool = True) -> np.ndarray:
     return scipy.linalg.solve_triangular(low.T, z, lower=False, check_finite=False)
 
 
-def top_eigenvalue(g, check_finite: bool = True) -> float:
-    """Largest eigenvalue of a symmetric matrix.
+def top_eigenvalue(g) -> float:
+    """Largest eigenvalue of a finite symmetric matrix.
 
     LAPACK ``syevr`` computes that one eigenvalue alone. On one BLAS
     thread at d = 128-144 that takes about 70% of the time of the full
     spectrum; below d of about 50 the call overhead makes it no faster.
-    ``check_finite=False`` trusts a float64 matrix that the caller has
-    checked already and skips its scan.
+    G is not scanned for non-finite entries: its callers hand in the
+    Gram matrix that :class:`ihskit.subsolver.SketchedQuadratic` has
+    checked already.
     """
-    gm = ensure_matrix(g, "G") if check_finite else g
+    gm = np.asarray(g, dtype=float)
     if gm.shape[0] != gm.shape[1]:
         raise DimensionError(f"G must be square, got {gm.shape}")
     d = gm.shape[0]

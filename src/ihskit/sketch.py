@@ -163,7 +163,7 @@ def leverage_scores(a) -> np.ndarray:
     have full column rank (singular values above ``1e-10 sigma_max``).
     """
     am = ensure_matrix(a, "A")
-    u, s, _ = thin_svd(am)
+    u, s, _ = thin_svd(am, check_finite=False)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
     if rank < am.shape[1]:
         raise RankDeficiencyError(

@@ -169,7 +169,7 @@ def solve_constrained(
     gram = q.G
     tol = ctl.resolve_tol(q.c)
     if lam_max is None:
-        lam_max = top_eigenvalue(gram, check_finite=False)
+        lam_max = top_eigenvalue(gram)
     lip = OPNORM_SAFETY * lam_max
     if lip <= 0.0:
         lip = 1.0
@@ -203,14 +203,17 @@ def solve_constrained(
             x_new, g_new, f_new = step_from(z, gz)
         # the gradient mapping at z; that at x_new is at most twice it
         grad_map = lip * float(np.linalg.norm(x_new - z))
+        beta = 0.0
         if ctl.acceleration:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
             beta = (tk - 1.0) / t_next
             tk = t_next
-            z = x_new + beta * (x_new - x)
-            gz = g_new + beta * (g_new - gx)
-        else:
+        # with beta = 0 the next step is taken from x_new itself, so z
+        # must be that very array for the restart test to skip it
+        if beta == 0.0:
             z, gz = x_new, g_new
+        else:
+            z, gz = x_new + beta * (x_new - x), g_new + beta * (g_new - gx)
         x, gx, fx = x_new, g_new, f_new
         if grad_map <= tol:
             return SubsolveResult(x, True, iterations, grad_map, restarts)

@@ -209,8 +209,7 @@ class TestCheckFinite:
     def test_non_finite_input_rejected_by_default(self):
         g = np.eye(3)
         g[0, 2] = np.inf
-        for call in (lambda: thin_svd(g), lambda: solve_psd(g, np.ones(3)),
-                     lambda: top_eigenvalue(g)):
+        for call in (lambda: thin_svd(g), lambda: solve_psd(g, np.ones(3))):
             with pytest.raises(NonFiniteError):
                 call()
 
@@ -224,4 +223,3 @@ class TestCheckFinite:
         for got, want in zip(thin_svd(f, check_finite=False), thin_svd(a)):
             assert np.array_equal(got, want)
         assert np.array_equal(solve_psd(g, b, check_finite=False), solve_psd(g, b))
-        assert top_eigenvalue(g, check_finite=False) == top_eigenvalue(g)

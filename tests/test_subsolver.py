@@ -183,6 +183,29 @@ class TestIterationCost:
         else:
             assert res.restarts == 0
 
+    def test_no_restart_repeats_its_step_at_working_precision(self, monkeypatch):
+        # From the minimizer the objective changes only by rounding, which
+        # trips the restart test; a restart must never redo a step that
+        # was already taken from the last accepted iterate.
+        gen = np.random.default_rng(4401)
+        b = _ill_conditioned(gen, 40, 12)
+        truth = gen.standard_normal(12)
+        q = SketchedQuadratic(b, b.T @ (b @ truth), L1Ball(0.5 * np.abs(truth).sum()))
+        start = solve_constrained(q, ctl=SolverControls(tol=1e-12, max_iter=20000))
+        assert start.converged
+        inputs = []
+        real = subsolver_mod.project
+
+        def recording(cset, x):
+            inputs.append(x.copy())
+            return real(cset, x)
+
+        monkeypatch.setattr(subsolver_mod, "project", recording)
+        res = solve_constrained(q, x0=start.x, ctl=SolverControls(tol=1e-300, max_iter=400))
+        assert not res.converged and res.restarts > 0
+        assert len(inputs) == 1 + res.iterations + res.restarts
+        assert not any(np.array_equal(p, n) for p, n in zip(inputs, inputs[1:]))
+
 
 class TestStoppingMeasure:
     @pytest.mark.parametrize("cset", [L1Ball(0.8), NuclearBall(1.5, 4, 3), Simplex(),
