@@ -77,11 +77,12 @@ interpreter lock, so the draws run on two cores. Each round's stream is
 fixed by ``(seed, t)``, so the output is bit-identical to drawing the
 rounds in turn. A fixed ``operator_factory(t)`` must therefore be a pure
 function of t: it is called on a worker thread, up to two rounds before
-round t is solved. One solve runs one ``apply`` at a time, which bounds
-its transient memory to that of a single apply. A solve that collects
-certificates keeps each operator until its round is solved and draws
-one round ahead, so it holds two operators at a time, as drawing in
-turn does. Small rounds, with fewer than ``POOL_MIN_ENTRIES`` entries in
+round t is solved. One solve runs one ``apply``, and the Gram product
+of its output, at a time, which bounds its transient memory to that of
+a single apply and its sketched matrix whatever the workers' timing. A
+solve that collects certificates keeps each operator until its round is
+solved and draws one round ahead, so it holds two operators at a time,
+as drawing in turn does. Small rounds, with fewer than ``POOL_MIN_ENTRIES`` entries in
 the sketch and A, take the same steps in the same order on the calling
 thread, where a worker would cost more in hand-offs than it saves.
 """
@@ -459,17 +460,21 @@ def _sketched_gram(draw, t: int, a: np.ndarray, n: int, apply_lock: threading.Lo
     """The iterate-free part of round t, run on a pool worker (or, for
     a small round, on the calling thread).
 
-    Draws the operator, applies it to A under the solve's ``apply_lock``
-    (so that one solve holds one apply's transients at a time) and forms
-    the Gram of ``B = S A / sqrt(n m)``. Returns ``(op, G)``, the
-    operator only when certificates need it and None otherwise; B is
-    freed here, since the rounds read only G.
+    Draws the operator, then, under the solve's ``apply_lock``, applies
+    it to A, forms the Gram of ``B = S A / sqrt(n m)`` and frees B, since
+    the rounds read only G. Holding the lock until B is freed keeps one
+    worker's B from outliving its apply into the other worker's, so a
+    solve's peak memory does not depend on how the two workers' timings
+    interleave. Returns ``(op, G)``, the operator only when certificates
+    need it and None otherwise.
     """
     op = draw(t)
     with apply_lock:
         b = op.apply(a)
-    b /= math.sqrt(n * op.m)
-    return (op if keep_op else None), b.T @ b
+        b /= math.sqrt(n * op.m)
+        gram = b.T @ b
+        del b
+    return (op if keep_op else None), gram
 
 
 def ihs_solve(

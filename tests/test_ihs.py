@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -256,11 +257,23 @@ def _solve_in_child(prob, cfg, queue):
     queue.put(ihs_solve(prob, cfg).x.tobytes())
 
 
+class _SlowScaling(np.ndarray):
+    """An array whose in-place division takes 2 ms, which widens the
+    window in which a sketched matrix outlives its apply."""
+
+    def __itruediv__(self, other):
+        time.sleep(0.002)
+        return super().__itruediv__(other)
+
+
 class _CountingOperator(SketchOperator):
-    """An explicit sketch that records how many of its applies overlap."""
+    """An explicit sketch that records how many of its applies overlap
+    and, as each apply starts, how many earlier outputs are still alive."""
 
     active = 0
     most = 0
+    outputs: list = []
+    alive_at_start: list = []
     guard = threading.Lock()
 
     def apply(self, a):
@@ -268,9 +281,13 @@ class _CountingOperator(SketchOperator):
         with cls.guard:
             cls.active += 1
             cls.most = max(cls.most, cls.active)
+            cls.alive_at_start.append(sum(ref() is not None for ref in cls.outputs))
         try:
             time.sleep(0.002)
-            return super().apply(a)
+            out = super().apply(a).view(_SlowScaling)
+            with cls.guard:
+                cls.outputs.append(weakref.ref(out))
+            return out
         finally:
             with cls.guard:
                 cls.active -= 1
@@ -325,6 +342,7 @@ class TestRoundPipeline:
         prob = gen_unconstrained(200, 6, 1.0, 229)
         spec = SketchSpec("gaussian", 40, 23)
         _CountingOperator.most = 0
+        _CountingOperator.outputs, _CountingOperator.alive_at_start = [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -337,6 +355,11 @@ class TestRoundPipeline:
             sys.setswitchinterval(interval)
         assert len(rep.iterates) == 9 and (rep.certificates is not None) == certificates
         assert _CountingOperator.most == 1
+        if not certificates:
+            # a worker's S A that outlived its apply into the other
+            # worker's would make the solve's peak memory depend on how
+            # their timings interleave
+            assert _CountingOperator.alive_at_start == [0] * 8
 
     def test_pool_threads_bounded_over_many_solves(self):
         prob = gen_sparse(150, 6, 2, 1.0, 233)
