@@ -74,17 +74,32 @@ applied to A and reduced to their Gram matrices on a pool of two worker
 threads that every solve shares, while the calling thread forms the
 gradient and solves round t. numpy's random fill and BLAS release the
 interpreter lock, so the draws run on two cores. Each round's stream is
-fixed by ``(seed, t)``, so the output is bit-identical to drawing the
-rounds in turn. A fixed ``operator_factory(t)`` must therefore be a pure
-function of t: it is called on a worker thread, up to two rounds before
-round t is solved. One solve runs one ``apply``, and the Gram product
-of its output, at a time, which bounds its transient memory to that of
-a single apply and its sketched matrix whatever the workers' timing. A
-solve that collects certificates keeps each operator until its round is
-solved and draws one round ahead, so it holds two operators at a time,
-as drawing in turn does. Small rounds, with fewer than ``POOL_MIN_ENTRIES`` entries in
-the sketch and A, take the same steps in the same order on the calling
-thread, where a worker would cost more in hand-offs than it saves.
+fixed by ``(seed, t)``, so the output does not depend on the order in
+which the rounds are drawn. A fixed ``operator_factory(t)`` must
+therefore be a pure function of t: it is called on a worker thread, up
+to two rounds before round t is solved.
+
+A round that needs no operator, because there is no
+``operator_factory`` and no certificate to collect, forms ``S A``
+without one (:func:`~ihskit.sketch.sketch_product`). A Gaussian or
+Rademacher sketch is then drawn and applied in panels of
+``PANEL_ROWS`` rows, so a round holds one panel (two for Rademacher)
+besides its m x d matrix ``S A`` and its Gram, whatever n is; such
+rounds take no lock, and both workers draw at once. The panel product
+gives the same draws as ``build_sketch``, but at some shapes BLAS
+rounds a panel's rows differently from those of the whole product. Every
+other round runs its ``apply``, and the Gram product of its output,
+under the solve's ``apply_lock``: ROS and row-sampling rounds, and
+rounds whose operator is realized. One such apply and its sketched
+matrix live at a time, whatever the workers' timing, so a solve's
+transient memory is that of a single apply, beside the realized
+operators: two drawn ahead, each holding its m x n matrix if it is
+dense. A solve that collects certificates keeps each operator until its
+round is solved and draws one round ahead, so it also holds two
+operators at a time, as drawing in turn does. Small rounds, with fewer
+than ``POOL_MIN_ENTRIES`` entries in the sketch and A, take the same
+steps in the same order on the calling thread, where a worker would
+cost more in hand-offs than it saves.
 """
 
 from __future__ import annotations
@@ -94,6 +109,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
@@ -103,7 +119,8 @@ import numpy as np
 from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
 from .linalg import ensure_matrix, ensure_vector, thin_svd, top_eigenvalue
-from .sketch import SketchOperator, SketchSpec, build_sketch, leverage_scores
+from .sketch import (PANEL_KINDS, SketchOperator, SketchSpec, build_sketch, leverage_scores,
+                     sketch_product)
 from .subsolver import SketchedQuadratic, SolverControls, project_iterate, solve_constrained
 
 __all__ = [
@@ -341,15 +358,26 @@ def solve_exact(
 
 
 def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_response):
-    """The classical (``sketch_response``) or the Hessian sketch solve."""
-    if operator is None and spec is None:
-        raise ValueError("either a sketch spec or a realized operator is required")
+    """The classical (``sketch_response``) or the Hessian sketch solve.
+
+    Without an operator the sketch is drawn from ``spec`` by
+    :func:`sketch_product`, and the classical solve sketches ``[A | y]``
+    in one pass.
+    """
     a, y = _base_form(problem)
-    op = operator if operator is not None else build_sketch(
-        spec, a.shape[0], leverage_p=_leverage_for(a, spec))
-    sa = op.apply(a)
-    scale = problem.n * op.m
-    c = sa.T @ _sketch(op, y) / scale if sketch_response else a.T @ y / problem.n
+    if operator is not None:
+        sa = operator.apply(a)
+        sy = _sketch(operator, y) if sketch_response else None
+    elif spec is None:
+        raise ValueError("either a sketch spec or a realized operator is required")
+    elif sketch_response:
+        d = a.shape[1]
+        say = sketch_product(spec, np.column_stack((a, y)), leverage_p=_leverage_for(a, spec))
+        sa, sy = say[:, :d], (say[:, d:] if y.ndim == 2 else say[:, d])
+    else:
+        sa = sketch_product(spec, a, leverage_p=_leverage_for(a, spec))
+    scale = problem.n * sa.shape[0]
+    c = sa.T @ sy / scale if sketch_response else a.T @ y / problem.n
     q = SketchedQuadratic(sa / math.sqrt(scale), c, problem.set)
     res = solve_constrained(q, x0=None, ctl=ctl)
     x = res.x.flatten(order="F")
@@ -455,26 +483,11 @@ class _CallingThread:
         return fut
 
 
-def _sketched_gram(draw, t: int, a: np.ndarray, n: int, apply_lock: threading.Lock,
-                   keep_op: bool):
-    """The iterate-free part of round t, run on a pool worker (or, for
-    a small round, on the calling thread).
-
-    Draws the operator, then, under the solve's ``apply_lock``, applies
-    it to A, forms the Gram of ``B = S A / sqrt(n m)`` and frees B, since
-    the rounds read only G. Holding the lock until B is freed keeps one
-    worker's B from outliving its apply into the other worker's, so a
-    solve's peak memory does not depend on how the two workers' timings
-    interleave. Returns ``(op, G)``, the operator only when certificates
-    need it and None otherwise.
-    """
-    op = draw(t)
-    with apply_lock:
-        b = op.apply(a)
-        b /= math.sqrt(n * op.m)
-        gram = b.T @ b
-        del b
-    return (op if keep_op else None), gram
+def _scaled_gram(b: np.ndarray, n: int) -> np.ndarray:
+    """The Gram of ``B / sqrt(n m)`` for the m x d sketched matrix
+    ``B = S A``, which it scales in place."""
+    b /= math.sqrt(n * b.shape[0])
+    return b.T @ b
 
 
 def ihs_solve(
@@ -524,13 +537,27 @@ def ihs_solve(
     want_certs = config.collect_certificates and ref is not None and unconstrained
     u_basis = _range_basis(a) if want_certs else None
 
-    if operator_factory is not None:
-        draw = operator_factory
-    else:
-        lev = _leverage_for(a, config.spec)
+    # The iterate-free part of a round, run on a pool worker (or, for a
+    # small round, on the calling thread): the round's operator when the
+    # certificates need it, and the Gram of S A / sqrt(n m). The rounds
+    # read only G, so S A is freed before the part returns.
+    lev = None if operator_factory is not None else _leverage_for(a, config.spec)
+    apply_lock = threading.Lock()
+    if operator_factory is None and not want_certs:
+        # No caller needs the operator, so a dense sketch is drawn and
+        # applied in panels, and its rounds take no lock: two rounds at
+        # a time hold only their panels and their S A.
+        lock = nullcontext() if config.spec.kind in PANEL_KINDS else apply_lock
 
-        def draw(t):
-            return build_sketch(config.spec.for_round(t), a.shape[0], leverage_p=lev)
+        def sketched_gram(t):
+            with lock:
+                return None, _scaled_gram(sketch_product(config.spec.for_round(t), a, lev), n)
+    else:
+        def sketched_gram(t):
+            op = (operator_factory(t) if operator_factory is not None
+                  else build_sketch(config.spec.for_round(t), a.shape[0], leverage_p=lev))
+            with apply_lock:
+                return (op if want_certs else None), _scaled_gram(op.apply(a), n)
 
     xs = [x]
     seconds: List[float] = []
@@ -542,7 +569,6 @@ def ihs_solve(
         pool = _sketch_pool()
     else:
         pool = _CallingThread()
-    apply_lock = threading.Lock()
     ahead: deque = deque()
     # a round with certificates keeps its operator until it is solved, so
     # draw one round ahead then: two operators live at a time, not three
@@ -550,7 +576,7 @@ def ihs_solve(
 
     def draw_ahead(t):
         if t <= config.rounds:
-            ahead.append(pool.submit(_sketched_gram, draw, t, a, n, apply_lock, want_certs))
+            ahead.append(pool.submit(sketched_gram, t))
 
     try:
         for t in range(1, depth + 1):

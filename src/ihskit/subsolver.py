@@ -6,8 +6,14 @@ round minimize such a quadratic and differ only in G and c, so
 :func:`solve_constrained` is the one inner solver of them all. Over
 ``Unconstrained`` it solves ``G x = c`` exactly by Cholesky; over any
 other set it runs projected gradient, by default with Nesterov momentum
-(FISTA, Beck & Teboulle 2009) that restarts whenever the objective fails
-to decrease, which keeps the accepted iterates monotone. The gradient
+(FISTA, Beck & Teboulle 2009) and the gradient restart of O'Donoghue &
+Candes (Found. Comput. Math. 2015): a step from z to x_new is taken
+again from the last iterate x, with the momentum reset, whenever
+``<z - x_new, x_new - x> > 0``, that is, when the momentum points
+against the step's gradient mapping. The test reads no objective
+values, so rounding noise in them, once the objective has converged to
+working precision, does not trip it. The objective need not decrease
+from one iterate to the next. The gradient
 step is 1/L with ``L = OPNORM_SAFETY * lambda_max(G)``, the top
 eigenvalue taken exactly from G (or handed in by a caller that has
 computed it already).
@@ -17,9 +23,8 @@ of each per restart. The stopping test reads the gradient mapping at
 the point z the step was taken from, ``L ||x_new - z||`` with
 ``x_new = P_C(z - grad g(z) / L)``, which the step yields for free;
 the gradient mapping at ``x_new`` itself is at most twice that
-(Nesterov, Math. Program. 2013). The product ``G x_new`` gives both the
-objective at x_new and, through ``G z_next = G x_new + beta (G x_new -
-G x)``, the next gradient.
+(Nesterov, Math. Program. 2013). The product ``G x_new`` gives the
+next gradient through ``G z_next = G x_new + beta (G x_new - G x)``.
 
 :class:`SketchedQuadratic` checks G once, when it is built, and the
 solver trusts it from then on.
@@ -174,33 +179,29 @@ def solve_constrained(
     if lip <= 0.0:
         lip = 1.0
 
-    def value(v, gv):
-        return 0.5 * float(np.vdot(v, gv)) - float(np.vdot(q.c, v))
-
     def step_from(v, gv):
-        """The projected gradient step from v, its product with G and its value."""
+        """The projected gradient step from v and its product with G."""
         v_new = project_iterate(q.set, v - (gv - q.c) / lip)
-        g_new = gram @ v_new
-        return v_new, g_new, value(v_new, g_new)
+        return v_new, gram @ v_new
 
     # x is the last accepted iterate and z the point the next step is
     # taken from; gx = G x and gz = G z ride along, so that an iteration
     # costs one product G x_new and one projection.
     x = project_iterate(q.set, np.zeros_like(q.c) if x0 is None else np.asarray(x0, float))
     gx = gram @ x
-    fx = value(x, gx)
     z, gz = x, gx
     tk = 1.0
     grad_map = np.inf
     iterations = restarts = 0
     for iterations in range(1, ctl.max_iter + 1):
-        x_new, g_new, f_new = step_from(z, gz)
-        if f_new > fx and z is not x:
-            # momentum overshot: restart from the last accepted iterate
-            # (a step from x itself has nothing to restart)
+        x_new, g_new = step_from(z, gz)
+        if np.vdot(z - x_new, x_new - x) > 0.0:
+            # the momentum points against the step's gradient mapping:
+            # restart from the last accepted iterate. A step from x
+            # itself gives -||x_new - x||^2 here and never restarts.
             restarts += 1
             z, gz, tk = x, gx, 1.0
-            x_new, g_new, f_new = step_from(z, gz)
+            x_new, g_new = step_from(z, gz)
         # the gradient mapping at z; that at x_new is at most twice it
         grad_map = lip * float(np.linalg.norm(x_new - z))
         beta = 0.0
@@ -208,13 +209,11 @@ def solve_constrained(
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
             beta = (tk - 1.0) / t_next
             tk = t_next
-        # with beta = 0 the next step is taken from x_new itself, so z
-        # must be that very array for the restart test to skip it
         if beta == 0.0:
             z, gz = x_new, g_new
         else:
             z, gz = x_new + beta * (x_new - x), g_new + beta * (g_new - gx)
-        x, gx, fx = x_new, g_new, f_new
+        x, gx = x_new, g_new
         if grad_map <= tol:
             return SubsolveResult(x, True, iterations, grad_map, restarts)
     return SubsolveResult(x, False, iterations, grad_map, restarts)

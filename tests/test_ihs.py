@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -29,12 +30,14 @@ from ihskit.ihs import (
 from ihskit.linalg import solve_psd, top_eigenvalue
 from ihskit.sketch import (
     KINDS,
+    PANEL_ROWS,
     SketchOperator,
     SketchSpec,
     build_sketch,
     explicit_sketch,
     identity_sketch,
     leverage_scores,
+    sketch_product,
 )
 from ihskit.subsolver import SketchedQuadratic, SolverControls, solve_constrained
 
@@ -132,6 +135,18 @@ class TestHessianSketch:
             xh = hessian_sketch_solve(prob, SketchSpec("gaussian", m, 1009, stream=(t,)))
             hits += prob.seminorm(xh - x_ls) <= 0.5 * prob.seminorm(x_ls)
         assert hits >= 95
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solver", [classical_sketch_solve, hessian_sketch_solve])
+def test_one_shot_spec_matches_its_operator(solver, kind):
+    # with a spec the sketch is formed in panels (the classical solve
+    # sketches [A | y] in one pass); with the operator it is applied whole
+    prob = gen_unconstrained(300, 8, 1.0, 241)
+    spec = SketchSpec(kind, 60, 29)
+    lev = leverage_scores(prob.A) if kind == "rowsample_leverage" else None
+    want = solver(prob, operator=build_sketch(spec, prob.n, leverage_p=lev))
+    assert np.linalg.norm(solver(prob, spec) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestIhsSolve:
@@ -360,6 +375,46 @@ class TestRoundPipeline:
             # worker's would make the solve's peak memory depend on how
             # their timings interleave
             assert _CountingOperator.alive_at_start == [0] * 8
+
+    @pytest.mark.parametrize("kind, most", [("gaussian", 2), ("ros", 1)])
+    def test_panel_rounds_draw_at_once(self, kind, most, monkeypatch):
+        # panel rounds take no lock, so both workers draw at once; ROS
+        # rounds apply one at a time
+        import ihskit.ihs as ihs_mod
+
+        active, seen, guard = [0], [], threading.Lock()
+
+        def slow_product(*args, **kwargs):
+            with guard:
+                active[0] += 1
+                seen.append(active[0])
+            try:
+                time.sleep(0.005)
+                return sketch_product(*args, **kwargs)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(ihs_mod, "sketch_product", slow_product)
+        prob = gen_unconstrained(300, 6, 1.0, 239)
+        rep = ihs_solve(prob, IhsConfig(SketchSpec(kind, 40, 31), 6))
+        assert len(rep.iterates) == 7 and len(seen) == 6 and max(seen) == most
+
+    def test_gaussian_solve_never_holds_a_whole_sketch(self):
+        # two workers each hold one panel of PANEL_ROWS x n, about a third
+        # of one m x n sketch here; drawing the whole sketch held two
+        n, m = 20000, 200
+        prob = gen_unconstrained(n, 10, 1.0, 251)
+        cfg = IhsConfig(SketchSpec("gaussian", m, 37), 3)
+        ihs_solve(prob, cfg)                # the pool's threads start outside the trace
+        tracemalloc.start()
+        try:
+            ihs_solve(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        panel = PANEL_ROWS * n * 8
+        assert peak <= 2 * panel + (1 << 20) < m * n * 8 / 2
 
     def test_pool_threads_bounded_over_many_solves(self):
         prob = gen_sparse(150, 6, 2, 1.0, 233)

@@ -11,6 +11,8 @@ from ihskit.ihs import IhsConfig, ihs_solve
 from ihskit.linalg import _factor_sizes, fwht_normalized
 from ihskit.sketch import (
     KINDS,
+    PANEL_KINDS,
+    PANEL_ROWS,
     SketchOperator,
     SketchSpec,
     alpha_balance,
@@ -18,6 +20,7 @@ from ihskit.sketch import (
     explicit_sketch,
     identity_sketch,
     leverage_scores,
+    sketch_product,
     verify_projection_condition,
 )
 from ihskit.subsolver import SolverControls
@@ -59,6 +62,43 @@ def test_gaussian_entry_mean_monte_carlo():
         count += op.matrix.size
     se = 1.0 / np.sqrt(count)
     assert abs(total / count) <= 3 * se
+
+
+# m not a multiple of the panel, one row, one column
+PANEL_SHAPES = [(2 * PANEL_ROWS + 5, 70), (1, 40), (PANEL_ROWS + 3, 1)]
+
+
+@pytest.mark.parametrize("kind", PANEL_KINDS)
+@pytest.mark.parametrize("m, n", PANEL_SHAPES)
+def test_panel_draws_equal_build_sketch(kind, m, n):
+    spec = SketchSpec(kind, m, 61, stream=(2,))
+    # S I returns every panel's draws exactly
+    assert np.array_equal(sketch_product(spec, np.eye(n)), build_sketch(spec, n).matrix)
+
+
+# 200 x 900 times 900 x 24 is a shape at which BLAS rounds the panels'
+# products differently from the whole product
+@pytest.mark.parametrize("kind", PANEL_KINDS)
+@pytest.mark.parametrize("m, n", PANEL_SHAPES + [(200, 900)])
+def test_panel_product_matches_apply(kind, m, n):
+    spec = SketchSpec(kind, m, 67)
+    a = rng.standard_normal((n, 24))
+    assert _rel_dev(sketch_product(spec, a), build_sketch(spec, n).apply(a)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k not in PANEL_KINDS])
+def test_sketch_product_of_other_kinds_applies_the_operator(kind):
+    a = rng.standard_normal((100, 3))
+    lev = leverage_scores(a) if kind == "rowsample_leverage" else None
+    spec = SketchSpec(kind, 30, 71)
+    assert np.array_equal(sketch_product(spec, a, leverage_p=lev),
+                          build_sketch(spec, 100, leverage_p=lev).apply(a))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sketch_product_rejects_empty_source(kind):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sketch_product(SketchSpec(kind, 3, 1), np.zeros((0, 2)))
 
 
 def test_ros_shape_contract():

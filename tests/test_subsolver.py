@@ -150,12 +150,12 @@ class TestGramCheck:
             SketchedQuadratic(np.full((2, 3), 1e200), np.ones(3))
 
 
-def _ill_conditioned(gen, n, d):
-    """B with singular values spread over two decades, so that momentum
-    overshoots and restarts."""
+def _ill_conditioned(gen, n, d, decades=2):
+    """B with singular values spread over ``decades`` decades, so that
+    momentum overshoots and restarts."""
     u, _ = np.linalg.qr(gen.standard_normal((n, d)))
     v, _ = np.linalg.qr(gen.standard_normal((d, d)))
-    return (u * np.logspace(0, -2, d)) @ v.T
+    return (u * np.logspace(0, -decades, d)) @ v.T
 
 
 class TestIterationCost:
@@ -205,6 +205,18 @@ class TestIterationCost:
         assert not res.converged and res.restarts > 0
         assert len(inputs) == 1 + res.iterations + res.restarts
         assert not any(np.array_equal(p, n) for p, n in zip(inputs, inputs[1:]))
+
+    def test_restarts_ignore_rounding_noise_in_the_objective(self):
+        # kappa(G) = 1e6: once the objective has converged to working
+        # precision its rounding noise tripped a restart test on objective
+        # values almost every other iteration, which took 46863 iterations
+        # and 11951 restarts to meet the tolerance
+        gen = np.random.default_rng(4401)
+        b = _ill_conditioned(gen, 40, 12, decades=3)
+        truth = gen.standard_normal(12)
+        q = SketchedQuadratic(b, b.T @ (b @ truth), L1Ball(0.9 * np.abs(truth).sum()))
+        res = solve_constrained(q, ctl=SolverControls(tol=1e-9, max_iter=20000))
+        assert res.converged and res.restarts <= 50
 
 
 class TestStoppingMeasure:
