@@ -99,7 +99,7 @@ class SketchOperator:
 
     def _apply(self, am: np.ndarray) -> np.ndarray:
         """``S A`` for an A that :func:`~ihskit.linalg.ensure_matrix` has
-        already checked; the rows are still counted."""
+        already checked; only its row count is checked here."""
         if am.shape[0] != self.n:
             raise DimensionError(f"operator expects {self.n} rows, got {am.shape[0]}")
         if self.matrix is not None:
