@@ -208,9 +208,9 @@ class TestIterationCost:
 
     def test_restarts_ignore_rounding_noise_in_the_objective(self):
         # kappa(G) = 1e6: once the objective has converged to working
-        # precision its rounding noise tripped a restart test on objective
-        # values almost every other iteration, which took 46863 iterations
-        # and 11951 restarts to meet the tolerance
+        # precision, its rounding noise tripped a restart test on objective
+        # values in about one iteration of four, and the solve took 46863
+        # iterations and 11951 restarts to meet the tolerance
         gen = np.random.default_rng(4401)
         b = _ill_conditioned(gen, 40, 12, decades=3)
         truth = gen.standard_normal(12)
