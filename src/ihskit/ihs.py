@@ -39,6 +39,9 @@ the pair ``(Z1, Z2)``: the smallest restricted eigenvalue of
 ``S^T S / m`` on the range of A, and the deviation of the same matrix
 from ``mu I`` between the current error direction and that range. Then
 ``||A e_{t+1}|| <= (Z2 / Z1) ||A e_t||`` holds exactly for either step.
+Both are read off the d x d restricted Gram ``H = U^T (S^T S / m) U``,
+U an orthonormal basis of range(A), which a round forms from its
+``S A`` beside its Gram, so that no round keeps its operator.
 
 Constrained rounds have no closed form; projected gradient solves them,
 warm-started at x_t. ``IhsConfig.inner_schedule`` sets its tolerance:
@@ -79,9 +82,8 @@ which the rounds are drawn. A fixed ``operator_factory(t)`` must
 therefore be a pure function of t: it is called on a worker thread, up
 to two rounds before round t is solved.
 
-A round that needs no operator, because there is no
-``operator_factory`` and no certificate to collect, forms ``S A``
-without one (:func:`~ihskit.sketch.sketch_product`). A Gaussian or
+A round without an ``operator_factory`` forms ``S A`` without an
+operator (:func:`~ihskit.sketch.sketch_product`). A Gaussian or
 Rademacher sketch is then drawn and applied in panels of
 ``PANEL_ROWS`` rows, so a round holds one panel (two for Rademacher)
 besides its m x d matrix ``S A`` and its Gram, whatever n is; such
@@ -90,13 +92,11 @@ gives the same draws as ``build_sketch``, but at some shapes BLAS
 rounds a panel's rows differently from those of the whole product. Every
 other round runs its ``apply``, and the Gram product of its output,
 under the solve's ``apply_lock``: ROS and row-sampling rounds, and
-rounds whose operator is realized. One such apply and its sketched
+rounds of an ``operator_factory``. One such apply and its sketched
 matrix live at a time, whatever the workers' timing, so a solve's
 transient memory is that of a single apply, beside the realized
 operators: two drawn ahead, each holding its m x n matrix if it is
-dense. A solve that collects certificates keeps each operator until its
-round is solved and draws one round ahead, so it also holds two
-operators at a time, as drawing in turn does. Small rounds, with fewer
+dense, and freed when its apply returns. Small rounds, with fewer
 than ``POOL_MIN_ENTRIES`` entries in the sketch and A, take the same
 steps in the same order on the calling thread, where a worker would
 cost more in hand-offs than it saves.
@@ -119,8 +119,8 @@ import numpy as np
 from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
 from .linalg import ensure_matrix, ensure_vector, thin_svd, top_eigenvalue
-from .sketch import (PANEL_KINDS, SketchOperator, SketchSpec, build_sketch, leverage_scores,
-                     sketch_product)
+from .sketch import PANEL_KINDS, SketchOperator, SketchSpec, leverage_scores, sketch_product
+from .sketch import build_sketch  # unused here, but perfbench's tracer wraps this name
 from .subsolver import SketchedQuadratic, SolverControls, project_iterate, solve_constrained
 
 __all__ = [
@@ -259,10 +259,6 @@ def _unflatten(problem: LsProblem, v, name: str) -> np.ndarray:
     return v if k == 1 else v.reshape((-1, k), order="F")
 
 
-def _sketch(op: SketchOperator, v: np.ndarray) -> np.ndarray:
-    return op.apply(v) if v.ndim == 2 else op.apply_vec(v)
-
-
 @dataclass
 class IhsConfig:
     """Controls for the iterative solver: per-round sketch, round count,
@@ -361,21 +357,20 @@ def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_respo
     """The classical (``sketch_response``) or the Hessian sketch solve.
 
     Without an operator the sketch is drawn from ``spec`` by
-    :func:`sketch_product`, and the classical solve sketches ``[A | y]``
-    in one pass.
+    :func:`sketch_product`. The classical solve sketches ``[A | y]`` in
+    one pass.
     """
     a, y = _base_form(problem)
-    if operator is not None:
-        sa = operator.apply(a)
-        sy = _sketch(operator, y) if sketch_response else None
-    elif spec is None:
+    if operator is None and spec is None:
         raise ValueError("either a sketch spec or a realized operator is required")
-    elif sketch_response:
-        d = a.shape[1]
-        say = sketch_product(spec, np.column_stack((a, y)), leverage_p=_leverage_for(a, spec))
-        sa, sy = say[:, :d], (say[:, d:] if y.ndim == 2 else say[:, d])
+    d = a.shape[1]
+    src = np.column_stack((a, y)) if sketch_response else a
+    if operator is not None:
+        say = operator.apply(src)
     else:
-        sa = sketch_product(spec, a, leverage_p=_leverage_for(a, spec))
+        say = sketch_product(spec, src, leverage_p=_leverage_for(a, spec))
+    sa = say[:, :d]
+    sy = (say[:, d:] if y.ndim == 2 else say[:, d]) if sketch_response else None
     scale = problem.n * sa.shape[0]
     c = sa.T @ sy / scale if sketch_response else a.T @ y / problem.n
     q = SketchedQuadratic(sa / math.sqrt(scale), c, problem.set)
@@ -412,32 +407,36 @@ def hessian_sketch_solve(
     return _one_shot(problem, spec, ctl, full_result, operator, sketch_response=False)
 
 
-def _range_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of range(A), which must have full column rank."""
-    u, s, _ = thin_svd(a)
+def _range_basis(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(s, V / s)`` for ``A = U diag(s) V^T``, so that ``U = A (V / s)``.
+    A must have full column rank."""
+    _, s, vt = thin_svd(a)
     if s.size == 0 or s[0] <= 0 or np.sum(s > 1e-10 * s[0]) < a.shape[1]:
         raise RankDeficiencyError("certificates require A with full column rank")
-    return u
+    return s, vt.T / s
 
 
-def _round_certificates(op: SketchOperator, u_basis: np.ndarray, direction: np.ndarray,
-                        mu: float = 1.0):
-    """(Z1, Z2) of one operator for the unconstrained cone.
+def _restricted_gram(b: np.ndarray, basis) -> np.ndarray:
+    """``H = U^T (S^T S / m) U`` from ``B = S A``, as ``S U = B (V / s)``. Its
+    error grows as eps cond(A), and would as eps cond(A)^2 from ``B^T B``."""
+    su = b @ basis[1]
+    return su.T @ su / b.shape[0]
 
-    ``u_basis`` is an orthonormal basis of range(A); ``direction`` the
-    un-normalized reference direction A(x_ref - x_t) in response space,
-    an n_base x k matrix on a block problem. Z2 measures
-    ``S^T S / m - mu I``, the matrix that maps the error of an update
-    with step mu (mu = 1 gives the paper's Z2).
+
+def _round_certificates(h: np.ndarray, basis, error: np.ndarray, mu: float = 1.0):
+    """(Z1, Z2) of a sketch with restricted Gram ``h`` at the error
+    ``x_ref - x_t`` (d_base x k on a block problem). ``A error = U c`` with
+    ``c = diag(s) V^T error``, so Z1 = lambda_min(H) and Z2 =
+    ``||(H - mu I) c|| / ||c||``, the deviation from ``mu I`` of the matrix
+    that maps the error of an update with step mu (mu = 1: the paper's Z2).
     """
-    su = op.apply(u_basis)
-    z1 = float(np.linalg.eigvalsh(su.T @ su / op.m)[0])
-    nv = float(np.linalg.norm(direction))
-    if nv <= 0.0:
+    s, w = basis
+    z1 = float(np.linalg.eigvalsh(h)[0])
+    c = (w.T @ error.reshape(s.size, -1)) * (s * s)[:, None]
+    nc = float(np.linalg.norm(c))
+    if nc <= 0.0:
         return z1, 0.0
-    u = direction / nv
-    z2 = float(np.linalg.norm(_sketch(op, u).T @ su / op.m - mu * (u.T @ u_basis)))
-    return z1, z2
+    return z1, float(np.linalg.norm(h @ c - mu * c)) / nc
 
 
 def contraction_certificates_unconstrained(
@@ -457,7 +456,8 @@ def contraction_certificates_unconstrained(
     for name, v in (("x_ls", xv), ("x_start", start)):
         if v.shape[0] != am.shape[1]:
             raise DimensionError(f"{name} has length {v.shape[0]}, A has {am.shape[1]} columns")
-    return _round_certificates(op, _range_basis(am), am @ (xv - start))
+    basis = _range_basis(am)
+    return _round_certificates(_restricted_gram(op.apply(am), basis), basis, xv - start)
 
 
 def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> float:
@@ -535,29 +535,22 @@ def ihs_solve(
     mu = _step_scale(problem, config, operator_factory is not None)
     unconstrained = isinstance(cset, Unconstrained)
     want_certs = config.collect_certificates and ref is not None and unconstrained
-    u_basis = _range_basis(a) if want_certs else None
+    basis = _range_basis(a) if want_certs else None
 
     # The iterate-free part of a round, run on a pool worker (or, for a
-    # small round, on the calling thread): the round's operator when the
-    # certificates need it, and the Gram of S A / sqrt(n m). The rounds
-    # read only G, so S A is freed before the part returns.
+    # small round, on the calling thread): the certificates' H and the Gram
+    # of S A / sqrt(n m), so S A is freed before the part returns. A dense
+    # sketch without an operator is drawn in panels, under no lock.
     lev = None if operator_factory is not None else _leverage_for(a, config.spec)
     apply_lock = threading.Lock()
-    if operator_factory is None and not want_certs:
-        # No caller needs the operator, so a dense sketch is drawn and
-        # applied in panels, and its rounds take no lock: two rounds at
-        # a time hold only their panels and their S A.
-        lock = nullcontext() if config.spec.kind in PANEL_KINDS else apply_lock
+    lock = (nullcontext() if operator_factory is None and config.spec.kind in PANEL_KINDS
+            else apply_lock)
 
-        def sketched_gram(t):
-            with lock:
-                return None, _scaled_gram(sketch_product(config.spec.for_round(t), a, lev), n)
-    else:
-        def sketched_gram(t):
-            op = (operator_factory(t) if operator_factory is not None
-                  else build_sketch(config.spec.for_round(t), a.shape[0], leverage_p=lev))
-            with apply_lock:
-                return (op if want_certs else None), _scaled_gram(op.apply(a), n)
+    def sketched_gram(t):
+        op = None if operator_factory is None else operator_factory(t)
+        with lock:
+            b = sketch_product(config.spec.for_round(t), a, lev) if op is None else op.apply(a)
+            return (_restricted_gram(b, basis) if want_certs else None), _scaled_gram(b, n)
 
     xs = [x]
     seconds: List[float] = []
@@ -570,24 +563,20 @@ def ihs_solve(
     else:
         pool = _CallingThread()
     ahead: deque = deque()
-    # a round with certificates keeps its operator until it is solved, so
-    # draw one round ahead then: two operators live at a time, not three
-    depth = 1 if want_certs else LOOKAHEAD
 
     def draw_ahead(t):
         if t <= config.rounds:
             ahead.append(pool.submit(sketched_gram, t))
 
     try:
-        for t in range(1, depth + 1):
+        for t in range(1, LOOKAHEAD + 1):
             draw_ahead(t)
         for t in range(1, config.rounds + 1):
             tic = time.perf_counter()
-            op, gram = ahead.popleft().result()
-            draw_ahead(t + depth)
+            h, gram = ahead.popleft().result()
+            draw_ahead(t + LOOKAHEAD)
             if want_certs:
-                with apply_lock:
-                    certs.append(_round_certificates(op, u_basis, a @ (ref - x), mu))
+                certs.append(_round_certificates(h, basis, ref - x, mu))
             q = SketchedQuadratic(None, gram @ x + mu * (a.T @ (y - a @ x) / n), cset, G=gram)
             ctl, lam = config.inner, None
             if not unconstrained:
@@ -598,7 +587,7 @@ def ihs_solve(
                     if tol > ctl.resolve_tol(q.c):
                         ctl = replace(ctl, tol=tol)
             res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
-            del op, gram, q     # free this round's Gram before taking the next
+            del h, gram, q      # free this round's Gram before taking the next
             x = res.x
             seconds.append(time.perf_counter() - tic)
             flags.append(res.converged)

@@ -145,6 +145,16 @@ def identity_sketch(n: int) -> SketchOperator:
     return explicit_sketch(np.sqrt(n) * np.eye(n))
 
 
+def _draw_rows(rng: np.random.Generator, kind: str, out: np.ndarray) -> None:
+    """Fill ``out`` with the next rows of a dense sketch of ``kind`` from
+    ``rng``: N(0,1) entries for ``gaussian``, +-1 for ``rademacher``."""
+    if kind == "gaussian":
+        rng.standard_normal(out=out)
+    else:
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
+
+
 def build_sketch(spec: SketchSpec, n: int, leverage_p=None) -> SketchOperator:
     """Draw the operator described by ``spec`` for sources of dimension ``n``.
 
@@ -155,10 +165,9 @@ def build_sketch(spec: SketchSpec, n: int, leverage_p=None) -> SketchOperator:
         raise ValueError(f"source dimension n must be >= 1, got {n}")
     rng = derive_rng(spec.seed, *spec.stream)
     op = SketchOperator(kind=spec.kind, n=n, m=spec.m, oversampled=spec.m > n)
-    if spec.kind == "gaussian":
-        op.matrix = rng.standard_normal((spec.m, n))
-    elif spec.kind == "rademacher":
-        op.matrix = 2.0 * rng.integers(0, 2, size=(spec.m, n)) - 1.0
+    if spec.kind in PANEL_KINDS:
+        op.matrix = np.empty((spec.m, n))
+        _draw_rows(rng, spec.kind, op.matrix)
     elif spec.kind == "ros":
         op.signs = 2.0 * rng.integers(0, 2, size=op.n_pad) - 1.0
         op.indices = rng.integers(0, op.n_pad, size=spec.m)
@@ -203,11 +212,7 @@ def sketch_product(spec: SketchSpec, a: np.ndarray, leverage_p=None) -> np.ndarr
     buf = np.empty((min(PANEL_ROWS, spec.m), n))
     for i in range(0, spec.m, PANEL_ROWS):
         panel = buf[: min(PANEL_ROWS, spec.m - i)]
-        if spec.kind == "gaussian":
-            rng.standard_normal(out=panel)
-        else:
-            np.multiply(rng.integers(0, 2, size=panel.shape), 2.0, out=panel)
-            panel -= 1.0
+        _draw_rows(rng, spec.kind, panel)
         np.matmul(panel, a, out=out[i : i + panel.shape[0]])
     return out
 

@@ -352,8 +352,8 @@ class TestRoundPipeline:
 
     @pytest.mark.parametrize("certificates", [False, True])
     def test_applies_of_one_solve_never_overlap(self, certificates):
-        # two rounds ahead both workers apply; with certificates (one round
-        # ahead) the calling thread applies each operator as well
+        # both workers apply, two rounds ahead, with or without certificates;
+        # only the workers apply an operator, and under the solve's lock
         prob = gen_unconstrained(200, 6, 1.0, 229)
         spec = SketchSpec("gaussian", 40, 23)
         _CountingOperator.most = 0
@@ -370,11 +370,10 @@ class TestRoundPipeline:
             sys.setswitchinterval(interval)
         assert len(rep.iterates) == 9 and (rep.certificates is not None) == certificates
         assert _CountingOperator.most == 1
-        if not certificates:
-            # a worker's S A that outlived its apply into the other
-            # worker's would make the solve's peak memory depend on how
-            # their timings interleave
-            assert _CountingOperator.alive_at_start == [0] * 8
+        # a worker's S A that outlived its apply into the other worker's
+        # would make the solve's peak memory depend on how their timings
+        # interleave
+        assert _CountingOperator.alive_at_start == [0] * 8
 
     @pytest.mark.parametrize("kind, most", [("gaussian", 2), ("ros", 1)])
     def test_panel_rounds_draw_at_once(self, kind, most, monkeypatch):
@@ -400,20 +399,24 @@ class TestRoundPipeline:
         rep = ihs_solve(prob, IhsConfig(SketchSpec(kind, 40, 31), 6))
         assert len(rep.iterates) == 7 and len(seen) == 6 and max(seen) == most
 
-    def test_gaussian_solve_never_holds_a_whole_sketch(self):
+    @pytest.mark.parametrize("certificates", [False, True])
+    def test_gaussian_solve_never_holds_a_whole_sketch(self, certificates):
         # two workers each hold one panel of PANEL_ROWS x n, about a third
-        # of one m x n sketch here; drawing the whole sketch held two
+        # of one m x n sketch here; drawing the whole sketch held two, and
+        # so did collecting certificates from realized operators
         n, m = 20000, 200
         prob = gen_unconstrained(n, 10, 1.0, 251)
-        cfg = IhsConfig(SketchSpec("gaussian", m, 37), 3)
-        ihs_solve(prob, cfg)                # the pool's threads start outside the trace
+        ref = solve_exact(prob)
+        cfg = IhsConfig(SketchSpec("gaussian", m, 37), 3, collect_certificates=certificates)
+        ihs_solve(prob, cfg, reference=ref)   # the pool's threads start outside the trace
         tracemalloc.start()
         try:
-            ihs_solve(prob, cfg)
+            rep = ihs_solve(prob, cfg, reference=ref)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         panel = PANEL_ROWS * n * 8
+        assert (rep.certificates is not None) == certificates
         assert peak <= 2 * panel + (1 << 20) < m * n * 8 / 2
 
     def test_pool_threads_bounded_over_many_solves(self):
@@ -487,6 +490,43 @@ class TestCertificates:
         want_z2 = np.linalg.norm(u @ (q - np.eye(80)) @ u_basis)
         assert z1 == pytest.approx(want_z1, abs=1e-10)
         assert z2 == pytest.approx(want_z2, abs=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6])
+    def test_matches_dense_oracle_when_ill_conditioned(self, kappa):
+        # H formed from the Gram B^T B alone loses eps * kappa^2: its Z1 is
+        # 8e-7 off here at kappa = 1e6, against 9e-12 for H from B V / s
+        n, d = 300, 8
+        g = np.random.default_rng(263)
+        q1 = np.linalg.qr(g.standard_normal((n, d)))[0]
+        q2 = np.linalg.qr(g.standard_normal((d, d)))[0]
+        a = (q1 * np.geomspace(1.0, 1.0 / kappa, d)) @ q2.T
+        x_ls, x_start = g.standard_normal(d), g.standard_normal(d)
+        op = build_sketch(SketchSpec("gaussian", 60, 41), n)
+        z1, z2 = contraction_certificates_unconstrained(a, op, x_ls, x_start=x_start)
+        s = op.materialize()
+        u_basis = np.linalg.svd(a, full_matrices=False)[0]
+        u = a @ (x_ls - x_start)
+        u /= np.linalg.norm(u)
+        su = s @ u_basis
+        want_z1 = np.linalg.eigvalsh(su.T @ su / op.m)[0]
+        want_z2 = np.linalg.norm((s @ u) @ su / op.m - u @ u_basis)
+        assert z1 == pytest.approx(want_z1, rel=1e-9)
+        assert z2 == pytest.approx(want_z2, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros"])
+    def test_solve_certificates_match_public_function(self, kind):
+        # rounds draw no operator; each round's (Z1, Z2) is still that of
+        # the operator build_sketch draws for it, at the round's iterate
+        prob = gen_unconstrained(1000, 8, 1.0, 269)
+        x_ls = solve_exact(prob)
+        spec = SketchSpec(kind, 64, 43)
+        rep = ihs_solve(prob, IhsConfig(spec, 4, collect_certificates=True), reference=x_ls)
+        assert len(rep.certificates) == 4
+        for t, got in enumerate(rep.certificates, start=1):
+            op = build_sketch(spec.for_round(t), prob.n)
+            want = contraction_certificates_unconstrained(prob.A, op, x_ls,
+                                                          x_start=rep.iterates[t - 1])
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_direction_flagged_as_zero(self):
         prob = gen_unconstrained(50, 4, 1.0, 59)
