@@ -82,15 +82,21 @@ class Box:
 ConstraintSet = Union[Unconstrained, L1Ball, NuclearBall, Simplex, Box]
 
 
-def _project_l1(x: np.ndarray, radius: float) -> np.ndarray:
-    if np.abs(x).sum() <= radius:
-        return x.copy()
-    u = np.sort(np.abs(x))[::-1]
+def _l1_threshold(u: np.ndarray, radius: float) -> float:
+    """The shrinkage level of the l1-ball projection, from the magnitudes
+    ``u`` sorted nonincreasing, whose sum exceeds the radius."""
     css = np.cumsum(u)
-    ks = np.arange(1, x.size + 1)
+    ks = np.arange(1, u.size + 1)
     rho = np.nonzero(u > (css - radius) / ks)[0][-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
+    return (css[rho] - radius) / (rho + 1.0)
+
+
+def _project_l1(x: np.ndarray, radius: float) -> np.ndarray:
+    ax = np.abs(x)
+    if ax.sum() <= radius:
+        return x.copy()
+    theta = _l1_threshold(np.sort(ax)[::-1], radius)
+    return np.sign(x) * np.maximum(ax - theta, 0.0)
 
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
@@ -125,8 +131,11 @@ def project(cset: ConstraintSet, x) -> np.ndarray:
         _check_nuclear_dim(cset, xv.size)
         # xv is checked: the SVD takes its column-major view as it is
         u, s, vt = thin_svd(xv.reshape((cset.d1, cset.d2), order="F"), check_finite=False)
-        s_proj = _project_l1(s, cset.radius)
-        return ((u * s_proj) @ vt).ravel(order="F")
+        # s is nonnegative and nonincreasing already: its l1 projection
+        # needs no abs or sort, and makes the same comparisons without them
+        if s.sum() > cset.radius:
+            s = np.maximum(s - _l1_threshold(s, cset.radius), 0.0)
+        return ((u * s) @ vt).ravel(order="F")
     raise TypeError(f"unknown constraint set {cset!r}")
 
 

@@ -46,15 +46,20 @@ U an orthonormal basis of range(A), which a round forms from its
 Constrained rounds have no closed form; projected gradient solves them,
 warm-started at x_t. ``IhsConfig.inner_schedule`` sets its tolerance:
 
-* ``"tracking"`` (default) - round t >= 2 stops at
-  ``max(floor, TRACKING_FACTOR * sqrt(lambda_max(G_t)) * ||x_{t-1} -
-  x_{t-2}||)``, where the floor is the fixed tolerance below. The inner
-  accuracy only keeps pace with the outer progress (Schmidt, Le Roux &
-  Bach, NeurIPS 2011; the inexact subproblems of Pilanci & Wainwright's
-  Newton sketch, SIAM J. Optim. 2017). Round 1 keeps the floor. The
-  tolerance bounds the inner solver's ``grad_map_norm``, the gradient
-  mapping at the point of its last step, which bounds that of the
-  round's result within a factor of 2 (see ``ihskit.subsolver``);
+* ``"tracking"`` (default) - round t stops at
+  ``max(floor, TRACKING_FACTOR * sqrt(lambda_max(G_t)) * ||step||)``,
+  where the floor is the fixed tolerance below and the step is the last
+  outer step ``x_{t-1} - x_{t-2}`` for t >= 2. Round 1 has no outer step
+  yet and takes the projected gradient step from x0 on its own
+  quadratic, ``P_C(x0 - (G_1 x0 - c_1) / L) - x0`` with the inner
+  solver's ``L``, at the cost of one projection and one product with
+  G_1. A solve of a single round keeps the floor, so that it is the
+  Hessian sketch. The inner accuracy only keeps pace with the outer
+  progress (Schmidt, Le Roux & Bach, NeurIPS 2011; the inexact
+  subproblems of Pilanci & Wainwright's Newton sketch, SIAM J. Optim.
+  2017). The tolerance bounds the inner solver's ``grad_map_norm``,
+  the gradient mapping at the point of its last step, which bounds that
+  of the round's result within a factor of 2 (see ``ihskit.subsolver``);
 * ``"fixed"`` - every round stops at ``IhsConfig.inner.resolve_tol(c)``,
   by default ``1e-10 * max(1, ||c||)``. This is the paper's iteration,
   whose contraction argument assumes exact subproblem solves, and the
@@ -68,8 +73,9 @@ where a sketch that underestimates the curvature makes the exact step
 overshoot. On the 16 perfbench ``lowrank_nuclear`` problems of seeds
 902-903 (nuclear ball, 1440 x 144 in 12 blocks, Gaussian m = 72), the
 error shrinks by a median factor of 0.29 per round under tracking,
-against 0.46 for exact solves, and a relative error of 1e-8 takes
-14-18 rounds (median 15.5), against 23-29 (median 24) exact.
+against 0.47 for exact solves, and a relative error of 1e-8 takes
+14-18 rounds (median 16) and a median 56.5 inner iterations per
+problem, against 23-29 rounds (median 24.5) and 580.5 iterations exact.
 
 A round's sketch does not depend on the iterate, so ``ihs_solve``
 draws and applies it ahead of time: rounds t+1 and t+2 are drawn,
@@ -115,13 +121,20 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
 from .linalg import ensure_matrix, ensure_vector, thin_svd, top_eigenvalue
 from .sketch import PANEL_KINDS, SketchOperator, SketchSpec, leverage_scores, sketch_product
 from .sketch import build_sketch  # unused here, but perfbench's tracer wraps this name
-from .subsolver import SketchedQuadratic, SolverControls, project_iterate, solve_constrained
+from .subsolver import (
+    SketchedQuadratic,
+    SolverControls,
+    lipschitz,
+    project_iterate,
+    solve_constrained,
+)
 
 __all__ = [
     "LsProblem", "IhsConfig", "IhsReport",
@@ -267,8 +280,9 @@ class IhsConfig:
     of constrained rounds.
 
     ``inner_schedule="tracking"`` (the default) loosens the tolerance of
-    each constrained round after the first to track the outer step,
-    with ``inner.resolve_tol(c)`` as its floor. It gives up the
+    each constrained round to track the outer step (round 1 its own
+    first projected gradient step), with ``inner.resolve_tol(c)`` as its
+    floor, which a solve of one round keeps. It gives up the
     assumption of the paper's contraction argument that every round is
     solved exactly, so the paper-figure runners pass ``"fixed"``, which
     solves every round to the floor. Under either schedule
@@ -409,8 +423,12 @@ def hessian_sketch_solve(
 
 def _range_basis(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(s, V / s)`` for ``A = U diag(s) V^T``, so that ``U = A (V / s)``.
-    A must have full column rank."""
-    _, s, vt = thin_svd(a)
+    A must have full column rank. s and V are those of the d x d factor R
+    of ``A = QR`` (LAPACK ``dgeqrf``, Householder, so backward stable like
+    an SVD of A), and neither Q nor U is formed."""
+    d = a.shape[1]
+    r = np.triu(scipy.linalg.lapack.dgeqrf(a)[0][:d]) if a.size else np.zeros((0, d))
+    _, s, vt = thin_svd(r, check_finite=False)
     if s.size == 0 or s[0] <= 0 or np.sum(s > 1e-10 * s[0]) < a.shape[1]:
         raise RankDeficiencyError("certificates require A with full column rank")
     return s, vt.T / s
@@ -488,6 +506,13 @@ def _scaled_gram(b: np.ndarray, n: int) -> np.ndarray:
     ``B = S A``, which it scales in place."""
     b /= math.sqrt(n * b.shape[0])
     return b.T @ b
+
+
+def _first_step(q: SketchedQuadratic, x: np.ndarray, lam: float) -> np.ndarray:
+    """The projected gradient step from x on ``q`` with the inner
+    solver's step length: round 1's stand-in for the outer step that
+    later rounds track."""
+    return project_iterate(q.set, x - (q.G @ x - q.c) / lipschitz(lam)) - x
 
 
 def ihs_solve(
@@ -581,9 +606,9 @@ def ihs_solve(
             ctl, lam = config.inner, None
             if not unconstrained:
                 lam = top_eigenvalue(q.G)
-                if config.inner_schedule == "tracking" and t >= 2:
-                    outer_step = float(np.linalg.norm(xs[-1] - xs[-2]))
-                    tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * outer_step
+                if config.inner_schedule == "tracking" and config.rounds > 1:
+                    step = xs[-1] - xs[-2] if t >= 2 else _first_step(q, x, lam)
+                    tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * float(np.linalg.norm(step))
                     if tol > ctl.resolve_tol(q.c):
                         ctl = replace(ctl, tol=tol)
             res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)

@@ -36,7 +36,7 @@ def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
@@ -46,7 +46,7 @@ def ensure_vector(v, name: str = "vector") -> np.ndarray:
     w = np.ascontiguousarray(v, dtype=np.float64)
     if w.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got ndim={w.ndim}")
-    if w.size and not np.all(np.isfinite(w)):
+    if w.size and not np.isfinite(w).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return w
 
@@ -177,16 +177,23 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
 def thin_svd(a, check_finite: bool = True) -> SvdResult:
     """Thin SVD ``A = U diag(s) Vt`` with nonincreasing singular values.
 
+    Calls LAPACK ``dgesdd`` through ``scipy.linalg.lapack``, without the
+    checks and error-state set-up of ``np.linalg.svd``, which calls the
+    same routine; where ``dgesdd`` reports that it did not converge, it
+    falls back to the slower ``dgesvd`` and raises
+    :class:`SvdConvergenceError` if that fails too.
     ``check_finite=False``, as in ``scipy.linalg``, trusts a finite
-    float64 matrix that the caller has checked already, and hands it to
-    LAPACK in whatever memory order it has, without a copy.
+    float64 matrix that the caller has checked already.
     """
     m = ensure_matrix(a, "A") if check_finite else a
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        return SvdResult(u, s, vt)
-    except np.linalg.LinAlgError:
-        pass
+    if m.size:      # LAPACK rejects an empty matrix; scipy returns its empty factors
+        # the optimal workspace, as numpy queries it: its size picks the
+        # algorithm's path, and so the rounding
+        lwork = scipy.linalg.lapack.dgesdd_lwork(*m.shape, compute_uv=1, full_matrices=0)[0]
+        u, s, vt, info = scipy.linalg.lapack.dgesdd(m, full_matrices=False, lwork=int(lwork))
+        if info == 0:
+            # C order, as numpy returns them, so products with them round alike
+            return SvdResult(np.ascontiguousarray(u), s, np.ascontiguousarray(vt))
     try:
         # gesdd occasionally fails where the slower gesvd succeeds
         u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd",

@@ -93,12 +93,12 @@ class SolverControls:
     arguments treating inner solves as exact stay valid.
 
     Inside ``ihs_solve`` this tolerance is a floor. Under the default
-    ``IhsConfig(inner_schedule="tracking")`` every constrained round
-    after the first is handed a looser tolerance that tracks the outer
-    step, which gives up the exact-solve assumption of the paper's
-    contraction argument; ``inner_schedule="fixed"`` uses this
-    tolerance in every round. Either way a round counts as converged
-    when it met the tolerance it was handed.
+    ``IhsConfig(inner_schedule="tracking")`` every constrained round of
+    a solve of more than one round is handed a looser tolerance that
+    tracks the outer step, which gives up the exact-solve assumption of
+    the paper's contraction argument; ``inner_schedule="fixed"`` uses
+    this tolerance in every round. Either way a round counts as
+    converged when it met the tolerance it was handed.
     """
 
     tol: Optional[float] = None
@@ -132,6 +132,14 @@ class SubsolveResult:
     iterations: int
     grad_map_norm: float
     restarts: int = 0
+
+
+def lipschitz(lam_max: float) -> float:
+    """The gradient Lipschitz constant the solver steps with,
+    ``OPNORM_SAFETY * lam_max`` for ``lam_max = lambda_max(G)``, or 1
+    when G is zero."""
+    lip = OPNORM_SAFETY * lam_max
+    return lip if lip > 0.0 else 1.0
 
 
 def project_iterate(cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
@@ -175,9 +183,7 @@ def solve_constrained(
     tol = ctl.resolve_tol(q.c)
     if lam_max is None:
         lam_max = top_eigenvalue(gram)
-    lip = OPNORM_SAFETY * lam_max
-    if lip <= 0.0:
-        lip = 1.0
+    lip = lipschitz(lam_max)
 
     def step_from(v, gv):
         """The projected gradient step from v and its product with G."""

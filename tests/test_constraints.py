@@ -13,7 +13,8 @@ from ihskit.constraints import (
     contains,
     project,
 )
-from ihskit.errors import DimensionError
+from ihskit.errors import DimensionError, NonFiniteError
+from ihskit.subsolver import project_iterate
 
 rng = np.random.default_rng(321)
 
@@ -128,6 +129,34 @@ class TestNuclearBall:
     def test_dimension_checked(self):
         with pytest.raises(DimensionError):
             project(NuclearBall(1.0, 3, 4), np.zeros(11))
+
+    @staticmethod
+    def _cases():
+        gen = np.random.default_rng(4404)
+        square, wide, tall = (gen.standard_normal(shape) for shape in ((5, 5), (3, 6), (6, 3)))
+        low_rank = gen.standard_normal((6, 2)) @ gen.standard_normal((2, 4))
+        nuc = lambda m: np.linalg.svd(m, compute_uv=False).sum()
+        return [(square, 1.0), (wide, 0.7), (tall, 1.3), (square, 2.0 * nuc(square)),
+                (wide, nuc(wide)), (low_rank, 0.5), (np.zeros((4, 3)), 1.0)]
+
+    def test_projection_keeps_its_bits(self):
+        # the l1-ball projection of the singular values that np.linalg.svd
+        # gives, as the projection computed before it dropped abs and sort
+        for mat, radius in self._cases():
+            cset = NuclearBall(radius, *mat.shape)
+            u, s, vt = np.linalg.svd(mat, full_matrices=False)
+            want = ((u * project(L1Ball(radius), s)) @ vt).ravel(order="F")
+            assert np.array_equal(project(cset, mat.ravel(order="F")), want)
+            assert np.array_equal(project_iterate(cset, mat), want.reshape(mat.shape, order="F"))
+            assert np.array_equal(project_iterate(cset, mat.ravel(order="F")), want)
+
+    @pytest.mark.parametrize("cset", [NuclearBall(1.0, 3, 4), L1Ball(1.0)],
+                             ids=lambda c: type(c).__name__)
+    def test_non_finite_input_rejected(self, cset):
+        x = np.ones(12)
+        x[5] = np.nan
+        with pytest.raises(NonFiniteError):
+            project(cset, x)
 
 
 ALL_SETS = [

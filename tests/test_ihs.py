@@ -27,7 +27,7 @@ from ihskit.ihs import (
     recommend_sketch_size,
     solve_exact,
 )
-from ihskit.linalg import solve_psd, top_eigenvalue
+from ihskit.linalg import OPNORM_SAFETY, solve_psd, top_eigenvalue
 from ihskit.sketch import (
     KINDS,
     PANEL_ROWS,
@@ -39,7 +39,7 @@ from ihskit.sketch import (
     leverage_scores,
     sketch_product,
 )
-from ihskit.subsolver import SketchedQuadratic, SolverControls, solve_constrained
+from ihskit.subsolver import SketchedQuadratic, SolverControls, project_iterate, solve_constrained
 
 rng = np.random.default_rng(55)
 
@@ -743,9 +743,14 @@ class TestInnerSchedule:
         prob = make()
         floor_ctl = SolverControls()
         seen = []
+        first = []
         real = ihs_mod.solve_constrained
 
         def spy(q, x0=None, ctl=None, lam_max=None):
+            if not seen:    # round 1: the tracking tolerance of its first step
+                step = project_iterate(q.set, x0 - (q.G @ x0 - q.c) / (OPNORM_SAFETY * lam_max))
+                first.append(ihs_mod.TRACKING_FACTOR * math.sqrt(lam_max)
+                             * float(np.linalg.norm(step - x0)))
             res = real(q, x0=x0, ctl=ctl, lam_max=lam_max)
             seen.append((ctl.resolve_tol(q.c), floor_ctl.resolve_tol(q.c), res))
             return res
@@ -754,12 +759,35 @@ class TestInnerSchedule:
         rep = self._run(prob, m, rounds, "tracking")
         assert all(rep.round_converged)
         assert len(seen) == rounds
-        assert seen[0][0] == seen[0][1]          # round 1 keeps the floor
+        # round 1 tracks its first projected-gradient step, above the floor
+        assert seen[0][0] == pytest.approx(max(seen[0][1], first[0]), rel=1e-12) and first[0] > seen[0][1]
         assert any(given > floor for given, floor, _ in seen[1:])
         for (given, floor, res), iters in zip(seen, rep.inner_iterations):
             assert given >= floor
             assert res.converged and res.grad_map_norm <= given
             assert res.iterations == iters
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_round_one_takes_fewer_inner_iterations(self, case):
+        make, m, rounds = self.CASES[case]
+        prob = make()
+        fixed = self._run(prob, m, rounds, "fixed")
+        tracking = self._run(prob, m, rounds, "tracking")
+        assert fixed.all_converged and tracking.all_converged
+        assert tracking.inner_iterations[0] < fixed.inner_iterations[0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_single_round_is_the_hessian_sketch(self, case):
+        # a one-round solve keeps the floor, so it solves the Hessian
+        # sketch's problem as hessian_sketch_solve does
+        make, m, _ = self.CASES[case]
+        prob = make()
+        op = build_sketch(SketchSpec("gaussian", m, 11), prob.n // prob.sketch_blocks)
+        cfg = IhsConfig(SketchSpec("gaussian", m, 0), 1, inner_schedule="tracking")
+        rep = ihs_solve(prob, cfg, operator_factory=lambda t: op)
+        assert rep.all_converged
+        want = hessian_sketch_solve(prob, operator=op)
+        assert prob.seminorm(rep.x - want) <= 1e-9
 
     def test_unconstrained_identical_under_both_schedules(self):
         prob = gen_unconstrained(300, 12, 1.0, 103)

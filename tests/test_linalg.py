@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ihskit.errors import DimensionError, NonFiniteError, PowerOfTwoError, SingularMatrixError
+from ihskit.errors import (
+    DimensionError,
+    NonFiniteError,
+    PowerOfTwoError,
+    SingularMatrixError,
+    SvdConvergenceError,
+)
 from ihskit.linalg import (
     estimate_opnorm_sq,
     fwht_normalized,
@@ -141,6 +147,34 @@ class TestThinSvd:
         s = thin_svd(a).singular_values
         lam = np.sort(np.linalg.eigvalsh(a.T @ a))[::-1]
         assert np.max(np.abs(s - np.sqrt(np.maximum(lam, 0)))) <= 1e-8
+
+
+    def test_falls_back_to_gesvd_when_gesdd_fails(self, monkeypatch):
+        a = rng.standard_normal((7, 4))
+        real, calls = scipy.linalg.lapack.dgesdd, []
+
+        def failing_gesdd(m, **kwargs):
+            calls.append(m.shape)
+            return (*real(m, **kwargs)[:3], 1)      # info > 0: did not converge
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", failing_gesdd)
+        want = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        got = thin_svd(a)
+        assert calls == [(7, 4)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "svd", failing_svd)
+        with pytest.raises(SvdConvergenceError) as info:
+            thin_svd(a)
+        assert info.value.attempts == 2
+
+    def test_empty_matrix(self):
+        u, s, vt = thin_svd(np.zeros((0, 3)))
+        assert u.shape == (0, 0) and s.shape == (0,) and vt.shape == (0, 3)
 
 
 class TestSolvePsd:
