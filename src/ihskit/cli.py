@@ -313,7 +313,8 @@ def _recommended_m(problem, p) -> int:
 @click.option("--reference", type=click.Path(), default=None,
               help="CSV vector; prints the final error to it in the prediction seminorm.")
 @click.option("--certificates", is_flag=True,
-              help="Record per-round (Z1, Z2) certificates (ihs, unconstrained only).")
+              help="Record per-round (Z1, Z2) certificates in the report (ihs with "
+                   "--reference and --out, unconstrained only).")
 @click.option("--out", "out_prefix", type=click.Path(), default=None,
               help="Prefix for output files (PREFIX_solution.csv, PREFIX_report.json, ...).")
 @click.option("--timings", is_flag=True,
@@ -341,6 +342,18 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         if ref is not None and ref.shape[0] != problem.d:
             raise click.UsageError(f"{p['reference']}: the reference has {ref.shape[0]} "
                                    f"entries, the problem has d = {problem.d}")
+        if p["certificates"]:
+            if method != "ihs":
+                raise click.UsageError("--certificates needs --method ihs")
+            if ref is None:
+                raise click.UsageError(
+                    "--certificates needs --reference (they bound the error to it)")
+            if p["out_prefix"] is None:
+                raise click.UsageError("--certificates needs --out (they go to the report)")
+            if not isinstance(problem.set, Unconstrained):
+                raise click.UsageError(
+                    "--certificates supports unconstrained problems only (certificates for "
+                    "constrained cones have no closed form)")
         if method != "exact":
             if p["m"] is None:
                 p["m"] = _recommended_m(problem, p)

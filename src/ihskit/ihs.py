@@ -79,30 +79,31 @@ problem, against 23-29 rounds (median 24.5) and 580.5 iterations exact.
 
 A round's sketch does not depend on the iterate, so ``ihs_solve``
 draws and applies it ahead of time: rounds t+1 and t+2 are drawn,
-applied to A and reduced to their Gram matrices on a pool of two worker
-threads that every solve shares, while the calling thread forms the
-gradient and solves round t. numpy's random fill and BLAS release the
-interpreter lock, so the draws run on two cores. Each round's stream is
-fixed by ``(seed, t)``, so the output does not depend on the order in
-which the rounds are drawn. A fixed ``operator_factory(t)`` must
-therefore be a pure function of t: it is called on a worker thread, up
-to two rounds before round t is solved.
+applied to A and reduced to their Gram matrices on worker threads that
+the solve starts for itself, while the calling thread forms the gradient
+and solves round t. The solve stops its workers before it returns or
+raises, so no thread outlives it. Each round's stream is fixed by
+``(seed, t)``, so the output does not depend on the order in which the
+rounds are drawn. A fixed ``operator_factory(t)`` must therefore be a
+pure function of t: it is called on a worker thread, up to two rounds
+before round t is solved.
 
 A round without an ``operator_factory`` forms ``S A`` without an
 operator (:func:`~ihskit.sketch.sketch_product`). A Gaussian or
 Rademacher sketch is then drawn and applied in panels of
 ``PANEL_ROWS`` rows, so a round holds one panel (two for Rademacher)
-besides its m x d matrix ``S A`` and its Gram, whatever n is; such
-rounds take no lock, and both workers draw at once. The panel product
-gives the same draws as ``build_sketch``, but at some shapes BLAS
-rounds a panel's rows differently from those of the whole product. Every
-other round runs its ``apply``, and the Gram product of its output,
-under the solve's ``apply_lock``: ROS and row-sampling rounds, and
-rounds of an ``operator_factory``. One such apply and its sketched
-matrix live at a time, whatever the workers' timing, so a solve's
-transient memory is that of a single apply, beside the realized
-operators: two drawn ahead, each holding its m x n matrix if it is
-dense, and freed when its apply returns. Small rounds, with fewer
+besides its m x d matrix ``S A`` and its Gram, whatever n is. Such a
+solve has ``LOOKAHEAD`` workers, which draw at once: numpy's random fill
+and BLAS release the interpreter lock, so the draws run on two cores.
+The panel product gives the same draws as ``build_sketch``, but at some
+shapes BLAS rounds a panel's rows differently from those of the whole
+product. Every other solve, of ROS or row-sampling rounds or of an
+``operator_factory``, has one worker, which runs the rounds' applies,
+and the Gram products of their outputs, in order. One such apply and its
+sketched matrix live at a time, however the threads are scheduled, so
+the solve's transient memory is that of a single apply, beside the
+realized operators: two drawn ahead, each holding its m x n matrix if
+it is dense, and freed when its apply returns. Small rounds, with fewer
 than ``POOL_MIN_ENTRIES`` entries in the sketch and A, take the same
 steps in the same order on the calling thread, where a worker would
 cost more in hand-offs than it saves.
@@ -111,12 +112,9 @@ cost more in hand-offs than it saves.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 from collections import deque
-from contextlib import nullcontext
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -158,7 +156,7 @@ INNER_SCHEDULES = ("tracking", "fixed")
 TRACKING_FACTOR = 0.02
 
 # Rounds whose sketch is drawn and applied ahead of the round being
-# solved, one on each worker of the shared pool.
+# solved, and the workers of a solve whose rounds draw in panels.
 LOOKAHEAD = 2
 
 # Rounds whose sketch and A_base hold fewer entries than this,
@@ -167,27 +165,10 @@ LOOKAHEAD = 2
 # the interpreter, so a worker overlaps little of it and costs the
 # calling thread interpreter-lock hand-offs. On perfbench's
 # lowrank_nuclear (120 x 12, m = 72: 10080 entries; 2 cores, one BLAS
-# thread) the pool made time_to_target_s 8% and setup_s 12% slower
+# thread) drawing on workers made time_to_target_s 8% and setup_s 12% slower
 # (medians of 13 pairs of runs). The smallest perfbench workload above
 # the threshold, ls_gaussian, has 688128.
 POOL_MIN_ENTRIES = 1 << 16
-
-_pool_lock = threading.Lock()
-_pool: Optional[Tuple[int, ThreadPoolExecutor]] = None
-
-
-def _sketch_pool() -> ThreadPoolExecutor:
-    """The worker pool that every solve shares.
-
-    It is created on first use, so importing the package starts no
-    thread, and again in a forked child, which inherits the pool object
-    but none of its threads.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), ThreadPoolExecutor(LOOKAHEAD, thread_name_prefix="ihskit"))
-        return _pool[1]
 
 
 @dataclass
@@ -318,10 +299,11 @@ class IhsReport:
     rounds) have one entry per round.
 
     ``per_round_seconds`` is the calling thread's time per round: its
-    wait for the round's sketched Gram, drawn ahead on a worker thread,
-    plus its solve of the round. A small round, drawn on the calling
-    thread (see ``POOL_MIN_ENTRIES``), counts the draw of the round two
-    ahead instead of a wait. The sum is about the solve's wall time.
+    wait for the round's sketched Gram, drawn ahead on one of the solve's
+    worker threads, plus its solve of the round. A small round, drawn on
+    the calling thread (see ``POOL_MIN_ENTRIES``), counts the draw of the
+    round two ahead instead of a wait. The sum is about the solve's wall
+    time.
     """
 
     iterates: List[np.ndarray]
@@ -488,15 +470,15 @@ def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> 
     return (m - d) * (m - d - 3) / (m * (m - 1))
 
 
-class _CallingThread:
-    """Runs each submitted call at once on the calling thread."""
+class _CallingThread(Executor):
+    """Runs each submitted call at once on the calling thread; its
+    ``shutdown`` is the base class's no-op."""
 
-    @staticmethod
-    def submit(fn, *args) -> Future:
+    def submit(self, fn, /, *args) -> Future:
         fut: Future = Future()
         try:
             fut.set_result(fn(*args))
-        except Exception as exc:        # raised when the round is taken, as from the pool
+        except Exception as exc:        # raised when the round is taken, as from a worker
             fut.set_exception(exc)
         return fut
 
@@ -530,11 +512,11 @@ def ihs_solve(
     recorded, and certificates as well if requested and the problem is
     unconstrained. ``operator_factory(t)`` overrides the draw of round
     t (1-based) with a fixed realized sketch, of n/k rows on a block
-    problem. It must be a pure function of t: it is called on a worker
-    thread of the shared pool, up to two rounds before round t is
-    solved (see the module docstring), and an exception it or the
-    operator's ``apply`` raises reaches the caller unchanged. A
-    singular sketched Gram in an unconstrained round raises
+    problem. It must be a pure function of t: it is called on the
+    solve's one worker thread, up to two rounds before round t is solved
+    (see the module docstring), and an exception it or the operator's
+    ``apply`` raises reaches the caller unchanged, after the worker has
+    stopped. A singular sketched Gram in an unconstrained round raises
     :class:`RankDeficiencyError`.
 
     ``config.step`` selects the unconstrained update ``x+ = G^-1 (G x +
@@ -562,20 +544,15 @@ def ihs_solve(
     want_certs = config.collect_certificates and ref is not None and unconstrained
     basis = _range_basis(a) if want_certs else None
 
-    # The iterate-free part of a round, run on a pool worker (or, for a
-    # small round, on the calling thread): the certificates' H and the Gram
-    # of S A / sqrt(n m), so S A is freed before the part returns. A dense
-    # sketch without an operator is drawn in panels, under no lock.
+    # The iterate-free part of a round, run on a worker of this solve (or,
+    # for a small round, on the calling thread): the certificates' H and
+    # the Gram of S A / sqrt(n m), so S A is freed before the part returns.
     lev = None if operator_factory is not None else _leverage_for(a, config.spec)
-    apply_lock = threading.Lock()
-    lock = (nullcontext() if operator_factory is None and config.spec.kind in PANEL_KINDS
-            else apply_lock)
 
     def sketched_gram(t):
         op = None if operator_factory is None else operator_factory(t)
-        with lock:
-            b = sketch_product(config.spec.for_round(t), a, lev) if op is None else op.apply(a)
-            return (_restricted_gram(b, basis) if want_certs else None), _scaled_gram(b, n)
+        b = sketch_product(config.spec.for_round(t), a, lev) if op is None else op.apply(a)
+        return (_restricted_gram(b, basis) if want_certs else None), _scaled_gram(b, n)
 
     xs = [x]
     seconds: List[float] = []
@@ -583,10 +560,14 @@ def ihs_solve(
     flags: List[bool] = []
     inner_iters: List[int] = []
 
-    if a.shape[0] * (config.spec.m + a.shape[1]) >= POOL_MIN_ENTRIES:
-        pool = _sketch_pool()
-    else:
+    # Panel rounds draw on LOOKAHEAD workers at once. Any other round runs
+    # on a single worker, which takes the applies in order, so one apply
+    # and its S A are alive at a time.
+    if a.shape[0] * (config.spec.m + a.shape[1]) < POOL_MIN_ENTRIES:
         pool = _CallingThread()
+    else:
+        panel = operator_factory is None and config.spec.kind in PANEL_KINDS
+        pool = ThreadPoolExecutor(LOOKAHEAD if panel else 1, thread_name_prefix="ihskit")
     ahead: deque = deque()
 
     def draw_ahead(t):
@@ -619,10 +600,8 @@ def ihs_solve(
             inner_iters.append(res.iterations)
             xs.append(x)
     finally:
-        # after a failure no round of this solve is left queued or running
-        for fut in ahead:
-            fut.cancel()
-        wait(ahead)
+        # no round of this solve is left queued or running, nor its workers
+        pool.shutdown(cancel_futures=True)
 
     iterates = [v.flatten(order="F") for v in xs]
 

@@ -112,11 +112,6 @@ class SketchOperator:
         scale = 1.0 / np.sqrt(self.probs[self.indices])
         return scale[:, None] * am[self.indices, :]
 
-    def apply_vec(self, y) -> np.ndarray:
-        """Return ``S y`` for a vector of length ``self.n``."""
-        yv = ensure_vector(y, "y")
-        return self.apply(yv[:, None])[:, 0]
-
     def materialize(self) -> np.ndarray:
         """The operator as an explicit dense m x n matrix."""
         if self.matrix is not None:

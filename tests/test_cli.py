@@ -144,6 +144,40 @@ class TestSolve:
         assert all(isinstance(k, int) and k >= 1 for k in rep["inner_iterations"])
         capsys.readouterr()
 
+    def test_certificates_recorded(self, tmp_path, capsys):
+        gen = ["--generate", "unconstrained", "--n", "400", "--d", "10", "--seed", "3"]
+        assert run(["solve", "--method", "exact", *gen]) == 0
+        ref = tmp_path / "x_ls.csv"
+        ref.write_text(capsys.readouterr().out)
+        code = run(["solve", "--method", "ihs", "--m", "80", "--rounds", "3", "--certificates",
+                    "--reference", ref, "--out", tmp_path / "run", *gen])
+        assert code == 0
+        rep = json.loads((tmp_path / "run_report.json").read_text())
+        assert len(rep["certificates"]) == 3
+        assert all(0 < z1 and 0 <= z2 for z1, z2 in rep["certificates"])
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--method", "ihs", "--generate", "unconstrained", "--n", "400", "--d", "10",
+          "--out", "OUT"], "--reference"),
+        (["--method", "ihs", "--generate", "unconstrained", "--n", "400", "--d", "10",
+          "--reference", "REF"], "--out"),
+        (["--method", "ihs", "--generate", "sparse", "--n", "400", "--d", "10", "--s", "3",
+          "--reference", "REF", "--out", "OUT"], "unconstrained"),
+        (["--method", "hessian", "--generate", "unconstrained", "--n", "400", "--d", "10",
+          "--reference", "REF", "--out", "OUT"], "--method ihs"),
+    ])
+    def test_certificates_that_would_record_nothing_are_usage_errors(
+            self, tmp_path, capsys, args, message):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("0\n" * 10)
+        paths = {"REF": ref, "OUT": tmp_path / "run"}
+        code = run(["solve", *[paths.get(a, a) for a in args], "--m", "80", "--rounds", "3",
+                    "--seed", "3", "--certificates"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
+
     def test_nonconvergence_exit_code(self, capsys):
         code = run(["solve", "--method", "ihs", "--m", "40", "--rounds", "2", "--seed", "3",
                     "--generate", "sparse", "--n", "200", "--d", "10", "--s", "3",

@@ -309,7 +309,8 @@ class _CountingOperator(SketchOperator):
 
 
 class TestRoundPipeline:
-    """Rounds are drawn and applied ahead on the shared worker pool."""
+    """Rounds are drawn and applied ahead on worker threads that each
+    solve starts and stops."""
 
     @pytest.fixture(autouse=True)
     def _pool_for_every_size(self, monkeypatch):
@@ -352,8 +353,8 @@ class TestRoundPipeline:
 
     @pytest.mark.parametrize("certificates", [False, True])
     def test_applies_of_one_solve_never_overlap(self, certificates):
-        # both workers apply, two rounds ahead, with or without certificates;
-        # only the workers apply an operator, and under the solve's lock
+        # the solve's one worker applies, two rounds ahead, with or without
+        # certificates; only it applies an operator, one round after another
         prob = gen_unconstrained(200, 6, 1.0, 229)
         spec = SketchSpec("gaussian", 40, 23)
         _CountingOperator.most = 0
@@ -377,8 +378,8 @@ class TestRoundPipeline:
 
     @pytest.mark.parametrize("kind, most", [("gaussian", 2), ("ros", 1)])
     def test_panel_rounds_draw_at_once(self, kind, most, monkeypatch):
-        # panel rounds take no lock, so both workers draw at once; ROS
-        # rounds apply one at a time
+        # panel rounds draw on two workers at once; ROS rounds apply one at
+        # a time on the solve's single worker
         import ihskit.ihs as ihs_mod
 
         active, seen, guard = [0], [], threading.Lock()
@@ -408,7 +409,7 @@ class TestRoundPipeline:
         prob = gen_unconstrained(n, 10, 1.0, 251)
         ref = solve_exact(prob)
         cfg = IhsConfig(SketchSpec("gaussian", m, 37), 3, collect_certificates=certificates)
-        ihs_solve(prob, cfg, reference=ref)   # the pool's threads start outside the trace
+        ihs_solve(prob, cfg, reference=ref)   # warm-up; the traced solve starts its own workers
         tracemalloc.start()
         try:
             rep = ihs_solve(prob, cfg, reference=ref)
@@ -427,27 +428,52 @@ class TestRoundPipeline:
             ihs_solve(prob, IhsConfig(SketchSpec("ros", 30, seed), 3))
         assert threading.active_count() <= before + 2
 
-    def test_threads_start_with_the_first_pooled_solve(self):
-        # import starts no thread, nor does a solve below POOL_MIN_ENTRIES
+    def test_no_thread_outlives_a_pooled_solve(self):
+        # import starts no thread, a solve below POOL_MIN_ENTRIES runs its
+        # rounds on the calling thread, and a pooled solve on workers that
+        # it stops before it returns
         script = (
-            "import threading\n"
+            "import json, threading\n"
             "import ihskit\n"
+            "import ihskit.ihs as ihs_mod\n"
             "from ihskit.experiments import gen_unconstrained\n"
-            "counts = [threading.active_count()]\n"
+            "product, names = ihs_mod.sketch_product, []\n"
+            "def spy(*args):\n"
+            "    names.append(threading.current_thread().name.split('_')[0])\n"
+            "    return product(*args)\n"
+            "ihs_mod.sketch_product = spy\n"
+            "counts, runners = [threading.active_count()], []\n"
             "for n in (200, 2000):  # n (m + d) = 9200 and 92000\n"
             "    prob = gen_unconstrained(n, 6, 1.0, 5)\n"
             "    ihskit.ihs_solve(prob, ihskit.IhsConfig(ihskit.SketchSpec('gaussian', 40, 1), 3))\n"
             "    counts.append(threading.active_count())\n"
-            "print(counts)\n"
+            "    runners.append(sorted(set(names)))\n"
+            "    names.clear()\n"
+            "print(json.dumps([counts, runners]))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        counts = json.loads(res.stdout)
-        # a worker that is idle again by the next submission takes it too
-        assert counts[:2] == [1, 1] and 2 <= counts[2] <= 3
+        counts, runners = json.loads(res.stdout)
+        assert counts == [1, 1, 1]
+        assert runners == [["MainThread"], ["ihskit"]]
+
+    def test_no_thread_outlives_a_failed_solve(self):
+        prob = gen_unconstrained(120, 5, 1.0, 227)
+        spec = SketchSpec("gaussian", 30, 19)
+
+        def factory(t):
+            if t == 3:
+                raise RuntimeError("round 3")
+            return build_sketch(spec.for_round(t), prob.n)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="round 3"):
+            ihs_solve(prob, IhsConfig(spec, 6), operator_factory=factory)
+        assert threading.active_count() == before
+        assert not any(th.name.startswith("ihskit") for th in threading.enumerate())
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")

@@ -172,16 +172,6 @@ def test_ros_apply_matches_full_transform(n):
     assert np.array_equal(a, before)
 
 
-def test_ros_apply_vec_matches_full_transform():
-    op = build_sketch(SketchSpec("ros", 50, 43), 1000)
-    y = ros_rng.standard_normal(1000)
-    before = y.copy()
-    out = op.apply_vec(y)
-    assert out.shape == (50,)
-    assert _rel_dev(out, _ros_full_transform(op, y[:, None])[:, 0]) <= 1e-13
-    assert np.array_equal(y, before)
-
-
 def test_ros_apply_oversampled_with_repeated_rows():
     op = build_sketch(SketchSpec("ros", 300, 47), 65)
     assert op.m > op.n_pad and np.unique(op.indices).size < op.m
