@@ -147,7 +147,9 @@ def _load_vector(path) -> np.ndarray:
 
 
 def _fmt_vec(v: np.ndarray) -> str:
-    return "\n".join(format(float(t), ".17g") for t in v) + "\n"
+    # + 0.0 writes a signed zero (the l1 projection leaves -0.0) as 0 and
+    # keeps every other value's bits
+    return "\n".join(format(float(t) + 0.0, ".17g") for t in v) + "\n"
 
 
 @contextlib.contextmanager

@@ -64,6 +64,12 @@ HADAMARD_LEAF = 64
 _LEAF_BITS = HADAMARD_LEAF.bit_length() - 1
 _FACTORS = {f: scipy.linalg.hadamard(f) / np.sqrt(f)
             for f in (1 << k for k in range(_LEAF_BITS + 1))}
+# Bytes of one panel of columns that hadamard_rows transforms at a time,
+# padded to whole blocks. On one BLAS thread half of it made a
+# 3000 x 128 apply (perfbench's lasso_ros) and a 2048 x 48 one about 20%
+# slower, and twice it raised the 3000 x 128 apply's peak from 3.4 to
+# 4.3 MB.
+_PANEL_BYTES = 1 << 20
 
 
 def _factor_sizes(n: int) -> list:
@@ -84,11 +90,19 @@ def _as_columns(x):
     return a, squeeze
 
 
-def _apply_factors(a, sizes, pre: int) -> np.ndarray:
-    """Apply ``H_{f1} (x) H_{f2} (x) ...`` to each of ``pre`` leading blocks of ``a``."""
-    for f in sizes:
-        a = np.matmul(_FACTORS[f], a.reshape(pre, f, -1))
-        pre *= f
+def _apply_factors(a, sizes, pre: int, out=None, spare=None) -> np.ndarray:
+    """Apply ``H_{f1} (x) H_{f2} (x) ...`` to each of ``pre`` leading blocks of ``a``.
+
+    ``out``, a flat buffer of ``a.size`` floats, receives the last
+    product; with ``spare`` too, the products before it alternate
+    between ``spare`` and ``a``'s buffer (``a`` must then be
+    contiguous), so that no product allocates.
+    """
+    for i, f in enumerate(sizes):
+        dst = out if i == len(sizes) - 1 else spare
+        prod = np.matmul(_FACTORS[f], a.reshape(pre, f, -1),
+                         out=None if dst is None else dst.reshape(pre, f, -1))
+        a, spare, pre = prod, None if spare is None else a.reshape(-1), pre * f
     return a
 
 
@@ -130,11 +144,23 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
     product. For m rows of c columns spread over g groups this costs
     about ``nz blk c (f2 + f3 + ...)`` multiply-adds for the inner
     factors plus ``g s nz c <= n_pad nz c`` for the outer one, against
-    ``n_pad c (f1 + f2 + ...)`` for the full transform. It allocates
-    ``(nz blk + g s + m) c`` floats for the blocks, the padded products
-    and the result, with ``g s <= min(n_pad, g f1)``, so at most
-    ``O((n_pad + m) c)`` whatever the multiplicities of ``rows``. The
-    input is never modified.
+    ``n_pad c (f1 + f2 + ...)`` for the full transform.
+
+    The transform is column-separable, so it runs on panels of ``w``
+    columns at a time: the widest that keep ``nz blk w`` floats within
+    ``_PANEL_BYTES``, but at least 8 (a 64-byte cache line of each row of
+    ``x``), evened out over the panels. The grouping is worked out once
+    per call, and two buffers are allocated once and reused for every
+    panel: the panel itself, and a scratch buffer that holds the signed
+    input of a few blocks at a time while the inner factors run on them
+    (those factors act within blocks) and then the outer stage's
+    products. Each panel's sampled rows go straight into its columns of
+    the ``m x c`` result. Beside that result and the ``g s nz`` outer
+    coefficients, a call holds ``(nz blk + max(g s + e, 2 blk)) w``
+    floats, ``e = g nz`` if some inner index is never sampled, else 0: a
+    transient that does not grow with c once ``c > w``, against
+    ``2 nz blk c`` for a transform of all columns at once. The input is
+    read once, a panel at a time, and never modified.
     """
     a, squeeze = _as_columns(x)
     dv = ensure_vector(signs, "signs")
@@ -152,25 +178,55 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
     f1, *inner = _factor_sizes(n_pad)
     blk = n_pad // f1
     nz = -(-n // blk)
-    z = np.empty((nz * blk, cols))
-    np.multiply(dv[:n, None], a, out=z[:n])
-    z[n:] = 0.0
-    z = _apply_factors(z, inner, nz).reshape(nz, blk, cols)
     # Distinct pairs sorted by b, then j1; `slot` is each pair's row in
-    # the padded groups, `inv` each sample's pair.
+    # the padded groups, `pick` each sample's.
     j1, b = np.divmod(idx, blk)
     pairs, inv = np.unique(b * f1 + j1, return_inverse=True)
     pb, pj1 = np.divmod(pairs, f1)
     counts = np.bincount(pb, minlength=blk)
-    occupied = counts > 0
+    occupied = np.flatnonzero(counts)
+    groups = occupied.size
     size = max(1, int(counts.max()))
-    slot = (size * (np.cumsum(occupied) - 1) - (np.cumsum(counts) - counts))[pb] + np.arange(pairs.size)
-    coef = np.zeros((np.count_nonzero(occupied) * size, nz))
+    slot = (size * (np.cumsum(counts > 0) - 1) - (np.cumsum(counts) - counts))[pb] + np.arange(pairs.size)
+    coef = np.zeros((groups * size, nz))
     coef[slot] = _FACTORS[f1][pj1, :nz]
-    zb = z.transpose(1, 0, 2)
-    if not occupied.all():
-        zb = zb[occupied]
-    out = np.matmul(coef.reshape(-1, size, nz), zb).reshape(-1, cols)[slot[inv]]
+    coef = coef.reshape(groups, size, nz)
+    pick = slot[inv]
+    # Equal panels of at most the budget's width, but at least a 64-byte
+    # cache line of each row of A: narrower ones read A's rows again for
+    # little saving. The occupied groups are copied out only when some
+    # are empty, and `need` rows per column hold the outer stage.
+    depth = nz * blk
+    panels = max(1, -(-cols // max(8, _PANEL_BYTES // (8 * max(1, depth)))))
+    w = max(1, -(-cols // panels))
+    gathered = groups * nz if groups < blk else 0
+    need = gathered + groups * size
+    # The inner factors act within blocks, so they run on `step` rows at
+    # a time in a scratch buffer (two for two or more factors) that the
+    # outer stage then reuses, as many blocks as fit in what it needs.
+    bufs = min(2, len(inner))
+    step = blk * max(1, min(nz, need // (bufs * blk))) if inner else max(1, depth)
+    # one allocation for both: glibc keeps freed memory for reuse up to
+    # about twice the largest block freed, which this then is
+    work = np.empty((depth + max(need, bufs * step)) * w)
+    panel, scratch = work[: depth * w], work[depth * w:]
+    out = np.empty((idx.size, cols))
+    for c0 in range(0, cols, w):
+        k = min(w, cols - c0)
+        for r0 in range(0, depth, step):
+            h, e = min(step, depth - r0), min(r0 + step, n)
+            z = (scratch if inner else panel)[: h * k].reshape(h, k)
+            # einsum, unlike a broadcast multiply, stages nothing in a buffer
+            np.einsum("i,ij->ij", dv[r0:e], a[r0:e, c0:c0 + k], out=z[: e - r0])
+            z[e - r0:] = 0.0
+            _apply_factors(z, inner, h // blk, panel[r0 * k:(r0 + h) * k], scratch[h * k:2 * h * k])
+        z = panel[: depth * k].reshape(nz, blk, k)
+        if groups < blk:
+            z = np.take(z, occupied, axis=1, out=scratch[: gathered * k].reshape(nz, groups, k),
+                        mode="clip")
+        prod = np.matmul(coef, z.transpose(1, 0, 2),
+                         out=scratch[gathered * k:need * k].reshape(groups, size, k))
+        np.take(prod.reshape(-1, k), pick, axis=0, out=out[:, c0:c0 + k], mode="clip")
     return out[:, 0] if squeeze else out
 
 
@@ -239,17 +295,23 @@ def top_eigenvalue(g) -> float:
 
     LAPACK ``syevr`` computes that one eigenvalue alone. On one BLAS
     thread at d = 128-144 that takes about 70% of the time of the full
-    spectrum; below d of about 50 the call overhead makes it no faster.
-    G is not scanned for non-finite entries: its callers hand in the
-    Gram matrix that :class:`ihskit.subsolver.SketchedQuadratic` has
-    checked already.
+    spectrum. It is called through ``scipy.linalg.lapack`` with its
+    queried workspace, as ``scipy.linalg.eigh`` calls it and with the
+    same bits, without the wrapper that cost more than the call at small
+    d (23 -> 9 us at d = 12). G is not scanned for non-finite entries:
+    its callers hand in the Gram matrix that
+    :class:`ihskit.subsolver.SketchedQuadratic` has checked already.
     """
     gm = np.asarray(g, dtype=float)
     if gm.shape[0] != gm.shape[1]:
         raise DimensionError(f"G must be square, got {gm.shape}")
     d = gm.shape[0]
-    return float(scipy.linalg.eigh(gm, eigvals_only=True, subset_by_index=[d - 1, d - 1],
-                                   check_finite=False)[0])
+    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(d, lower=1)
+    w, _, _, _, info = scipy.linalg.lapack.dsyevr(gm, compute_v=0, range="I", il=d, iu=d, lower=1,
+                                                 lwork=int(lwork), liwork=liwork)
+    if info:
+        raise np.linalg.LinAlgError(f"syevr did not converge (info {info})")
+    return float(w[0])
 
 
 def estimate_opnorm_sq(b, iters: int = 100, seed: int = 0) -> float:

@@ -10,8 +10,11 @@ A sketch is a random m x n matrix S normalized so that
   j sampled uniformly with replacement (input rows are zero-padded to
   the next power of two). ``apply`` computes only the m sampled rows of
   the transform and never transforms the zero padding
-  (:func:`~ihskit.linalg.hadamard_rows`); ``materialize`` forms the full
-  transform;
+  (:func:`~ihskit.linalg.hadamard_rows`). It transforms A a panel of
+  columns at a time, each of about 1 MiB once padded, so its working
+  memory beside ``S A`` does not grow with A's column count, where a
+  transform of all columns at once held two padded copies of A;
+  ``materialize`` forms the full transform;
 * ``rowsample_uniform`` / ``rowsample_leverage`` - rows e_j / sqrt(p_j)
   sampled with replacement from a probability vector p.
 

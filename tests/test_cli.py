@@ -34,6 +34,22 @@ class TestSolve:
         # normal equations: [[2,1],[1,2]] x = (4,5)  ->  x = (1, 2)
         assert out == pytest.approx([1.0, 2.0])
 
+    def test_l1_solution_writes_zeros_unsigned(self, monkeypatch, capsys):
+        # the l1 projection leaves -0.0 in the entries it zeroes
+        seen, real = [], cli_mod._fmt_vec
+        monkeypatch.setattr(cli_mod, "_fmt_vec", lambda v: seen.append(v.copy()) or real(v))
+        code = run(["solve", "--method", "exact", "--generate", "sparse", "--n", "400",
+                    "--d", "20", "--s", "3", "--seed", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.split()
+        (x,) = seen
+        assert np.signbit(x[x == 0.0]).any() and len(lines) == x.size
+        for line, v in zip(lines, x):
+            if v == 0.0:
+                assert line == "0"
+            else:
+                assert np.float64(line).tobytes() == v.tobytes()
+
     def test_m_zero_is_usage_error(self, capsys):
         code = run(["solve", "--method", "ihs", "--sketch", "gaussian", "--m", "0",
                     "--generate", "unconstrained", "--n", "50", "--d", "3", "--seed", "1"])

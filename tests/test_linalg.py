@@ -9,7 +9,9 @@ from ihskit.errors import (
     SingularMatrixError,
     SvdConvergenceError,
 )
+from ihskit import linalg
 from ihskit.linalg import (
+    _factor_sizes,
     estimate_opnorm_sq,
     fwht_normalized,
     hadamard_rows,
@@ -85,6 +87,17 @@ def _rel_dev(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+# a stream of its own, so that the panel tests leave the draws of the others as they were
+panel_rng = np.random.default_rng(103)
+
+
+def _panel_width(n, n_pad):
+    """The widest panel of ``hadamard_rows`` at n rows: as many columns as
+    fit in the panel budget once padded to whole blocks, at least 8."""
+    blk = n_pad // _factor_sizes(n_pad)[0]
+    return max(8, linalg._PANEL_BYTES // (8 * blk * -(-n // blk)))
+
+
 class TestHadamardRows:
     # n_pad = 1, 2 and 64 take one Hadamard factor, 128 and 4096 two,
     # 16384 three; 63, 65, 1000 and 8193 leave zero padding
@@ -123,6 +136,51 @@ class TestHadamardRows:
         for rows in ([8], [-1], [0.5], [[0]]):
             with pytest.raises(DimensionError):
                 hadamard_rows(x, rows, np.ones(8))
+
+    # n = 63, 3000 and 9000 take one, two and three Hadamard factors; with
+    # w the widest panel at that shape, w + 1 and 2w + 3 columns take two
+    # and three panels, and n // 30 sampled rows leave some inner indices
+    # unsampled at n = 3000 and 9000
+    @pytest.mark.parametrize("n", [63, 3000, 9000])
+    @pytest.mark.parametrize("times,plus", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_matches_padded_transform_across_panels(self, n, times, plus):
+        n_pad = 1 << (n - 1).bit_length()
+        signs = panel_rng.choice([-1.0, 1.0], size=n_pad)
+        x = panel_rng.standard_normal((n, times * _panel_width(n, n_pad) + plus))
+        rows = panel_rng.integers(0, n_pad, size=max(2, n // 30))
+        assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
+
+    def test_four_factors(self):
+        # 2^19 = 32 x 32 x 32 x 16: three inner factors alternate between
+        # the two scratch buffers before the last writes into the panel
+        n = (1 << 18) + 1
+        assert len(_factor_sizes(1 << 19)) == 4
+        signs = panel_rng.choice([-1.0, 1.0], size=1 << 19)
+        x = panel_rng.standard_normal((n, 2))
+        rows = panel_rng.integers(0, 1 << 19, size=500)
+        assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
+
+    def test_strided_input_across_panels(self):
+        signs = panel_rng.choice([-1.0, 1.0], size=4096)
+        cols = 2 * _panel_width(3000, 4096) + 3
+        big = panel_rng.standard_normal((3000, 2 * cols + 1))
+        before = big.copy()
+        x = big[:, 1::2]
+        rows = panel_rng.integers(0, 4096, size=300)
+        got = hadamard_rows(x, rows, signs)
+        assert _rel_dev(got, _padded_oracle(np.ascontiguousarray(x), rows, signs)) <= 1e-13
+        assert np.array_equal(big, before)
+
+    def test_one_inner_group_and_one_sample_per_group_across_panels(self):
+        # 3000 rows pad to 4096 = 64 x 64: rows 5 + 64 j all share inner
+        # index 5, and with one sample per inner index the inner factors
+        # run on one block at a time
+        assert _factor_sizes(4096) == [64, 64]
+        signs = panel_rng.choice([-1.0, 1.0], size=4096)
+        x = panel_rng.standard_normal((3000, _panel_width(3000, 4096) + 1))
+        for rows in (5 + 64 * panel_rng.integers(0, 64, size=200),
+                     np.arange(64) + 64 * panel_rng.integers(0, 64, size=64)):
+            assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
 
 
 class TestThinSvd:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ def test_ros_apply_all_rows_in_one_inner_group():
                         indices=7 + 256 * ros_rng.integers(0, 32, size=300))
     a = ros_rng.standard_normal((5000, 2))
     assert _rel_dev(op.apply(a), _ros_full_transform(op, a)) <= 1e-13
+
+
+def test_ros_apply_transient_below_half_of_input():
+    # at 8192 x 256 a transform of all columns at once held three times
+    # A's bytes; in column panels the apply, result included, needs less
+    # than half of them
+    a = np.random.default_rng(81).standard_normal((8192, 256))
+    op = build_sketch(SketchSpec("ros", 1024, 83), 8192)
+    tracemalloc.start()
+    try:
+        op.apply(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2
 
 
 def test_ros_ihs_l1_matches_explicit_operator():
