@@ -363,17 +363,13 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         if method == "ihs":
             cfg = IhsConfig(spec, p["rounds"], inner=ctl, step="tuned",
                             collect_certificates=p["certificates"])
-    report = None
-    if method == "exact":
-        x, converged = solve_exact(problem, ctl, full_result=True)
-    elif method == "classical":
-        x, converged = classical_sketch_solve(problem, spec, ctl, full_result=True)
-    elif method == "hessian":
-        x, converged = hessian_sketch_solve(problem, spec, ctl, full_result=True)
-    else:
-        report = ihs_solve(problem, cfg, reference=ref)
-        x = report.x
-        converged = report.all_converged
+    report = {
+        "exact": lambda: solve_exact(problem, ctl),
+        "classical": lambda: classical_sketch_solve(problem, spec, ctl),
+        "hessian": lambda: hessian_sketch_solve(problem, spec, ctl),
+        "ihs": lambda: ihs_solve(problem, cfg, reference=ref),
+    }[method]()
+    x, converged = report.x, report.all_converged
 
     final_ref_err = None
     if ref is not None:
@@ -392,7 +388,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         }
         if method != "exact":
             rep["sketch"] = {"kind": p["kind"], "m": p["m"], "seed": p["seed"]}
-        if report is not None:
+        if method == "ihs":
             rep["rounds"] = len(report.per_round_seconds)
             rep["round_converged"] = report.round_converged
             rep["inner_iterations"] = report.inner_iterations
@@ -405,7 +401,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             if p["timings"]:
                 rep["per_round_seconds"] = report.per_round_seconds
         write_text_atomic(prefix + "_report.json", json.dumps(rep, indent=2) + "\n")
-        if report is not None:
+        if method == "ihs":
             lines = ["iter,err_ls_semi,err_truth_semi"]
             for it in range(len(report.iterates)):
                 e1 = ("" if report.errors_to_ls is None
@@ -488,8 +484,7 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
                 "cones have no closed form)")
         spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="diagnosis")
         cfg = IhsConfig(spec, p["rounds"], collect_certificates=True)
-    x_ls = solve_exact(problem)
-    report = ihs_solve(problem, cfg, reference=x_ls)
+    report = ihs_solve(problem, cfg, reference=solve_exact(problem).x)
     click.echo(f"{'round':>5} {'Z1':>12} {'Z2':>12} {'Z2/Z1':>12} {'err_ls_semi':>14}")
     table = []
     for t, (z1, z2) in enumerate(report.certificates, start=1):

@@ -182,10 +182,6 @@ def _timed(fn):
     return out, time.perf_counter() - tic
 
 
-def _flag(converged: bool) -> str:
-    return "" if converged else "nonconverged"
-
-
 def _compare(exp, seed, points, trials, kind, threads):
     """An exact, an IHS and a classical-sketch row per grid point and trial."""
     fig = _FIG_STREAM[exp]
@@ -193,7 +189,8 @@ def _compare(exp, seed, points, trials, kind, threads):
     def task(i, p, t):
         try:
             prob = p.make((seed, fig, i, t, 0))
-            (x_ls, ok_ls), sec_exact = _timed(lambda: solve_exact(prob, full_result=True))
+            exact, sec_exact = _timed(lambda: solve_exact(prob))
+            x_ls = exact.x
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec_ihs = _timed(
                 lambda: ihs_solve(prob, IhsConfig(spec, p.rounds, inner_schedule="fixed"),
@@ -203,14 +200,12 @@ def _compare(exp, seed, points, trials, kind, threads):
             cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
             cl_m = p.classical_m or p.rounds * p.m
             cl_spec = SketchSpec(kind, cl_m, seed, stream=(fig, i, t, 2))
-            (x_cl, ok_cl), sec_cl = _timed(
-                lambda: classical_sketch_solve(cl_prob, cl_spec, full_result=True))
-            return [
-                _row(exp, t, p.n, p.d, "exact", 0, prob, x_ls, x_ls, sec_exact, _flag(ok_ls)),
-                _row(exp, t, p.n, p.d, "ihs", p.rounds, prob, report.x, x_ls, sec_ihs,
-                     _flag(report.all_converged)),
-                _row(exp, t, p.n, p.d, "classical", 0, prob, x_cl, x_ls, sec_cl, _flag(ok_cl)),
-            ]
+            classical, sec_cl = _timed(lambda: classical_sketch_solve(cl_prob, cl_spec))
+            return [_row(exp, t, p.n, p.d, method, rounds, prob, rep.x, x_ls, sec,
+                         "" if rep.all_converged else "nonconverged")
+                    for method, rounds, rep, sec in (("exact", 0, exact, sec_exact),
+                                                     ("ihs", p.rounds, report, sec_ihs),
+                                                     ("classical", 0, classical, sec_cl))]
         except IhskitError as exc:
             return [_fail_row(exp, t, p.n, p.d, "all", exc)]
 
@@ -224,7 +219,7 @@ def _trace(exp, seed, points, trials, kind, step, threads):
     def task(i, p, t):
         try:
             prob = p.make((seed, fig, i, t, 0))
-            x_ls = solve_exact(prob)
+            x_ls = solve_exact(prob).x
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec = _timed(lambda: ihs_solve(
                 prob, IhsConfig(spec, p.rounds, step=step, inner_schedule="fixed"),

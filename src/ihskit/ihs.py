@@ -291,12 +291,14 @@ class IhsConfig:
 
 @dataclass
 class IhsReport:
-    """Per-round trace of one iterative solve.
+    """Per-round trace of one solve; every solver returns one.
 
-    ``iterates`` and the error lists have length rounds + 1 (the leading
-    entry is the feasible starting point); timings, certificates,
-    convergence flags and inner iteration counts (0 for unconstrained
-    rounds) have one entry per round.
+    From ``ihs_solve``, ``iterates`` and the error lists have length
+    rounds + 1 (the leading entry is the feasible starting point), and
+    the rest one entry per round (0 inner iterations if unconstrained).
+    ``solve_exact`` and the one-shot sketches report one round, with
+    ``iterates == [x]`` and the solve's wall time. Errors are to
+    ``problem.truth``, if set, and to ``ihs_solve``'s ``reference``.
 
     ``per_round_seconds`` is the calling thread's time per round: its
     wait for the round's sketched Gram, drawn ahead on one of the solve's
@@ -327,35 +329,47 @@ def _leverage_for(a: np.ndarray, spec: SketchSpec):
     return leverage_scores(a) if spec.kind == "rowsample_leverage" else None
 
 
-def solve_exact(
-    problem: LsProblem,
-    ctl: Optional[SolverControls] = None,
-    full_result: bool = False,
-):
-    """Reference solution of ``min_C (1/2n) ||A x - y||^2``.
+def _report(problem: LsProblem, xs, seconds, flags, inner_iters,
+            reference=None, certs=None) -> IhsReport:
+    """The report of a solve whose iterates, in base form, are ``xs``.
+    Errors are computed only against ``reference`` and ``problem.truth``,
+    each when given."""
+    iterates = [v.flatten(order="F") for v in xs]
+
+    def errors(target):
+        return None if target is None else [problem.seminorm(v - target) for v in iterates]
+
+    return IhsReport(iterates, errors(reference), errors(problem.truth), seconds, certs, flags,
+                     inner_iters)
+
+
+def solve_exact(problem: LsProblem, ctl: Optional[SolverControls] = None) -> IhsReport:
+    """Reference solution of ``min_C (1/2n) ||A x - y||^2``, as a report
+    of one round (see :class:`IhsReport`).
 
     The inner solver minimizes the quadratic with ``G = A^T A / n`` and
     ``c = A^T y / n``: exactly by Cholesky when unconstrained, by
     projected gradient otherwise. A rank-deficient A raises
-    :class:`RankDeficiencyError` when unconstrained. With ``full_result``
-    the return value is ``(x, converged)``, where ``converged`` is false
-    when the subsolver stopped at its iteration cap.
+    :class:`RankDeficiencyError` when unconstrained. ``all_converged`` is
+    false when the subsolver stopped at its iteration cap.
     """
+    tic = time.perf_counter()
     a, y = _base_form(problem)
     n = problem.n
     q = SketchedQuadratic(None, a.T @ y / n, problem.set, G=a.T @ a / n)
     res = solve_constrained(q, x0=None, ctl=ctl)
-    x = res.x.flatten(order="F")
-    return (x, res.converged) if full_result else x
+    return _report(problem, [res.x], [time.perf_counter() - tic], [res.converged],
+                   [res.iterations])
 
 
-def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_response):
+def _one_shot(problem: LsProblem, spec, ctl, operator, sketch_response) -> IhsReport:
     """The classical (``sketch_response``) or the Hessian sketch solve.
 
     Without an operator the sketch is drawn from ``spec`` by
     :func:`sketch_product`. The classical solve sketches ``[A | y]`` in
     one pass.
     """
+    tic = time.perf_counter()
     a, y = _base_form(problem)
     if operator is None and spec is None:
         raise ValueError("either a sketch spec or a realized operator is required")
@@ -371,36 +385,36 @@ def _one_shot(problem: LsProblem, spec, ctl, full_result, operator, sketch_respo
     c = sa.T @ sy / scale if sketch_response else a.T @ y / problem.n
     q = SketchedQuadratic(sa / math.sqrt(scale), c, problem.set)
     res = solve_constrained(q, x0=None, ctl=ctl)
-    x = res.x.flatten(order="F")
-    return (x, res.converged) if full_result else x
+    return _report(problem, [res.x], [time.perf_counter() - tic], [res.converged],
+                   [res.iterations])
 
 
 def classical_sketch_solve(
     problem: LsProblem,
     spec: Optional[SketchSpec] = None,
     ctl: Optional[SolverControls] = None,
-    full_result: bool = False,
     operator: Optional[SketchOperator] = None,
-):
-    """Solve the fully sketched problem ``min_C (1/2nm) ||S(Ax - y)||^2``.
+) -> IhsReport:
+    """Solve the fully sketched problem ``min_C (1/2nm) ||S(Ax - y)||^2``,
+    as a report of one round (see :class:`IhsReport`).
 
     ``operator`` overrides the random draw with a fixed realized sketch
     (e.g. the scaled identity), in which case ``spec`` may be omitted.
     On a block problem the sketch acts on the n/k rows of A_base.
     """
-    return _one_shot(problem, spec, ctl, full_result, operator, sketch_response=True)
+    return _one_shot(problem, spec, ctl, operator, sketch_response=True)
 
 
 def hessian_sketch_solve(
     problem: LsProblem,
     spec: Optional[SketchSpec] = None,
     ctl: Optional[SolverControls] = None,
-    full_result: bool = False,
     operator: Optional[SketchOperator] = None,
-):
+) -> IhsReport:
     """Solve with the quadratic term sketched and the exact linear term,
-    ``min_C (1/2nm) ||S A x||^2 - <A^T y / n, x>``."""
-    return _one_shot(problem, spec, ctl, full_result, operator, sketch_response=False)
+    ``min_C (1/2nm) ||S A x||^2 - <A^T y / n, x>``, as a report of one
+    round (see :class:`IhsReport`): one plain IHS round started from 0."""
+    return _one_shot(problem, spec, ctl, operator, sketch_response=False)
 
 
 def _range_basis(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -603,17 +617,10 @@ def ihs_solve(
         # no round of this solve is left queued or running, nor its workers
         pool.shutdown(cancel_futures=True)
 
-    iterates = [v.flatten(order="F") for v in xs]
-
-    def errors(target):
-        return None if target is None else [problem.seminorm(v - target) for v in iterates]
-
-    return IhsReport(iterates, errors(reference), errors(problem.truth), seconds, certs, flags,
-                     inner_iters)
+    return _report(problem, xs, seconds, flags, inner_iters, reference, certs)
 
 
 _WIDTH_FAMILIES = ("unconstrained", "sparse", "lowrank")
-_FAMILY_ALIASES = {"l1": "sparse", "nuclear": "lowrank", "gaussian": "unconstrained"}
 
 
 def recommend_sketch_size(
@@ -643,16 +650,15 @@ def recommend_sketch_size(
     took from 23 to 41 rounds to reach a relative error of 1e-8 over
     ten seeds, about 0.65 per round on the slowest.
     """
-    fam = _FAMILY_ALIASES.get(family, family)
-    if fam not in _WIDTH_FAMILIES:
+    if family not in _WIDTH_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_WIDTH_FAMILIES}")
     if not 0.0 < rho <= 0.5:
         raise ValueError(f"rho must lie in (0, 1/2], got {rho}")
-    if fam == "unconstrained":
+    if family == "unconstrained":
         if d is None:
             raise MissingHintError("unconstrained width needs the dimension d")
         width_sq = float(d)
-    elif fam == "sparse":
+    elif family == "sparse":
         if d is None or s is None:
             raise MissingHintError("sparse width needs the dimension d and a sparsity hint s")
         if not 1 <= s <= d:

@@ -10,6 +10,7 @@ factor B is at hand.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,24 +32,26 @@ from .seeding import derive_rng
 OPNORM_SAFETY = 1.05
 
 
+def _ensure(a, name: str, ndim: int) -> np.ndarray:
+    arr = np.ascontiguousarray(a, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
+    # NaN propagates through min and max, so no boolean mask of the input
+    # is made; the bare ufunc reductions skip ndarray.min's Python wrapper
+    if arr.size and not (math.isfinite(np.minimum.reduce(arr, axis=None))
+                         and math.isfinite(np.maximum.reduce(arr, axis=None))):
+        raise NonFiniteError(f"{name} contains non-finite entries")
+    return arr
+
+
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a 2-D finite float64 C-order array."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.isfinite(m).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return m
+    return _ensure(a, name, 2)
 
 
 def ensure_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a 1-D finite float64 array."""
-    w = np.ascontiguousarray(v, dtype=np.float64)
-    if w.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got ndim={w.ndim}")
-    if w.size and not np.isfinite(w).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return w
+    return _ensure(v, name, 1)
 
 
 class SvdResult(NamedTuple):

@@ -93,7 +93,7 @@ def test_criterion_2_error_floor():
     ratios = []
     for t in range(10):
         prob = gen_unconstrained(n, d, sigma, (SEED, 2, t))
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         rounds = recommend_iterations(n, prob.seminorm(x_ls), sigma, 0.5)
         spec = SketchSpec("gaussian", gamma * d, SEED, stream=(2, t))
         rep = ihs_solve(prob, IhsConfig(spec, rounds), reference=x_ls)
@@ -218,7 +218,7 @@ def test_criterion_8_certificate_bound():
     worst_margin = -np.inf
     for run in range(50):
         prob = gen_unconstrained(n, d, 1.0, (SEED, 8, run))
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         inner_tol = SolverControls().resolve_tol(prob.A.T @ prob.y / n)
         cfg = IhsConfig(SketchSpec("gaussian", m, SEED, stream=(8, run)), rounds,
                         collect_certificates=True)
@@ -276,15 +276,15 @@ class TestCriterion9OracleSuites:
         worst = 0.0
         for cset in (Unconstrained(), L1Ball(1.0), Box(-0.5, 0.5)):
             prob = LsProblem(a, y, set=cset)
-            x_ref = solve_exact(prob)
+            x_ref = solve_exact(prob).x
             ident = identity_sketch(prob.n)
             for solver in (
                 lambda: classical_sketch_solve(prob, operator=ident),
                 lambda: hessian_sketch_solve(prob, operator=ident),
                 lambda: ihs_solve(prob, IhsConfig(SketchSpec("gaussian", prob.n, 0), 1),
-                                  operator_factory=lambda t: ident).x,
+                                  operator_factory=lambda t: ident),
             ):
-                worst = max(worst, prob.seminorm(solver() - x_ref))
+                worst = max(worst, prob.seminorm(solver().x - x_ref))
         ok = worst <= 1e-9
         report("9c", ok, f"identity-sketch exactness across solvers, worst error "
                          f"{worst:.2e} (<= 1e-9)")

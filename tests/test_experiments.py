@@ -66,7 +66,7 @@ class TestGenerators:
         errs = []
         for t in range(50):
             p = gen_unconstrained(n, d, 1.0, (3, t))
-            errs.append(p.seminorm(solve_exact(p) - p.truth) ** 2)
+            errs.append(p.seminorm(solve_exact(p).x - p.truth) ** 2)
         target = d / n
         assert target / 2 <= np.mean(errs) <= 2 * target
 

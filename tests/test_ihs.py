@@ -18,6 +18,7 @@ from ihskit.errors import DimensionError, MissingHintError, NonFiniteError, Rank
 from ihskit.experiments import gen_lowrank, gen_sparse, gen_unconstrained
 from ihskit.ihs import (
     IhsConfig,
+    IhsReport,
     LsProblem,
     classical_sketch_solve,
     contraction_certificates_unconstrained,
@@ -47,13 +48,13 @@ rng = np.random.default_rng(55)
 class TestSolveExact:
     def test_identity_problem(self):
         prob = LsProblem(np.eye(2), [1.0, 2.0])
-        assert solve_exact(prob) == pytest.approx([1, 2])
+        assert solve_exact(prob).x == pytest.approx([1, 2])
 
     def test_zero_rhs_gives_zero(self):
         a = rng.standard_normal((10, 3))
         for cset in (Unconstrained(), L1Ball(1.0), Box(-1.0, 1.0)):
             prob = LsProblem(a, np.zeros(10), set=cset)
-            assert np.max(np.abs(solve_exact(prob))) <= 1e-9
+            assert np.max(np.abs(solve_exact(prob).x)) <= 1e-9
 
     def test_rank_deficient_unconstrained_raises(self):
         a = rng.standard_normal((20, 3))
@@ -61,9 +62,30 @@ class TestSolveExact:
         with pytest.raises(RankDeficiencyError, match="rank deficient"):
             solve_exact(prob)
 
+    def test_every_solver_returns_a_report(self):
+        # a direct solve is one round: its iterate, flag and inner
+        # iteration count, and errors to the truth the problem carries
+        prob = gen_sparse(200, 10, 2, 1.0, 5)
+        spec = SketchSpec("gaussian", 60, 3)
+        direct = [solve_exact(prob), classical_sketch_solve(prob, spec),
+                  hessian_sketch_solve(prob, spec)]
+        for rep in direct + [ihs_solve(prob, IhsConfig(spec, 2))]:
+            assert isinstance(rep, IhsReport)
+            assert rep.errors_to_truth == [prob.seminorm(v - prob.truth) for v in rep.iterates]
+        for rep in direct:
+            assert len(rep.iterates) == len(rep.round_converged) == len(rep.per_round_seconds) == 1
+            assert rep.errors_to_ls is None and rep.certificates is None
+
+        capped = solve_exact(prob, SolverControls(max_iter=1))
+        assert capped.all_converged is False
+        assert capped.inner_iterations == [1]
+        free = solve_exact(LsProblem(prob.A, prob.y))
+        assert free.all_converged is True
+        assert free.inner_iterations == [0]
+
     def test_normal_equations_residual(self):
         prob = gen_unconstrained(50, 5, 1.0, 42)
-        x = solve_exact(prob)
+        x = solve_exact(prob).x
         resid = prob.A.T @ (prob.A @ x - prob.y)
         assert np.max(np.abs(resid)) <= 1e-8 * np.linalg.norm(prob.A.T @ prob.y)
 
@@ -83,25 +105,25 @@ class TestIdentitySketchExactness:
     def test_classical(self):
         for prob in self._problems():
             ident = identity_sketch(prob.n)
-            x = classical_sketch_solve(prob, operator=ident)
-            assert prob.seminorm(x - solve_exact(prob)) <= 1e-9
+            x = classical_sketch_solve(prob, operator=ident).x
+            assert prob.seminorm(x - solve_exact(prob).x) <= 1e-9
 
     def test_classical_plain_identity_override(self):
         # unscaled S = I also works for the classical sketch (pure rescaling)
         prob = self._problems()[0]
-        x = classical_sketch_solve(prob, operator=explicit_sketch(np.eye(prob.n)))
-        assert prob.seminorm(x - solve_exact(prob)) <= 1e-9
+        x = classical_sketch_solve(prob, operator=explicit_sketch(np.eye(prob.n))).x
+        assert prob.seminorm(x - solve_exact(prob).x) <= 1e-9
 
     def test_hessian(self):
         for prob in self._problems():
-            x = hessian_sketch_solve(prob, operator=identity_sketch(prob.n))
-            assert prob.seminorm(x - solve_exact(prob)) <= 1e-9
+            x = hessian_sketch_solve(prob, operator=identity_sketch(prob.n)).x
+            assert prob.seminorm(x - solve_exact(prob).x) <= 1e-9
 
     def test_ihs_one_step(self):
         for prob in self._problems():
             cfg = IhsConfig(SketchSpec("gaussian", prob.n, 0), rounds=1)
             rep = ihs_solve(prob, cfg, operator_factory=lambda t: identity_sketch(prob.n))
-            assert prob.seminorm(rep.x - solve_exact(prob)) <= 1e-9
+            assert prob.seminorm(rep.x - solve_exact(prob).x) <= 1e-9
 
 
 class TestClassicalSketch:
@@ -111,7 +133,7 @@ class TestClassicalSketch:
         a = np.ones((n, 1))
         prob = LsProblem(a, x_star * a[:, 0])
         for kind in ("gaussian", "rademacher", "ros", "rowsample_uniform"):
-            x = classical_sketch_solve(prob, SketchSpec(kind, 4, 19))
+            x = classical_sketch_solve(prob, SketchSpec(kind, 4, 19)).x
             assert x == pytest.approx([x_star], abs=1e-9)
 
 
@@ -122,7 +144,7 @@ class TestHessianSketch:
         y = rng.standard_normal(20)
         y -= a @ (a.T @ y)
         prob = LsProblem(a, y)
-        x = hessian_sketch_solve(prob, SketchSpec("gaussian", 12, 3))
+        x = hessian_sketch_solve(prob, SketchSpec("gaussian", 12, 3)).x
         assert np.max(np.abs(x)) <= 1e-9
 
     def test_good_event_rate(self):
@@ -131,8 +153,8 @@ class TestHessianSketch:
         hits = 0
         for t in range(100):
             prob = gen_unconstrained(n, d, 1.0, (9, t))
-            x_ls = solve_exact(prob)
-            xh = hessian_sketch_solve(prob, SketchSpec("gaussian", m, 1009, stream=(t,)))
+            x_ls = solve_exact(prob).x
+            xh = hessian_sketch_solve(prob, SketchSpec("gaussian", m, 1009, stream=(t,))).x
             hits += prob.seminorm(xh - x_ls) <= 0.5 * prob.seminorm(x_ls)
         assert hits >= 95
 
@@ -145,21 +167,21 @@ def test_one_shot_spec_matches_its_operator(solver, kind):
     prob = gen_unconstrained(300, 8, 1.0, 241)
     spec = SketchSpec(kind, 60, 29)
     lev = leverage_scores(prob.A) if kind == "rowsample_leverage" else None
-    want = solver(prob, operator=build_sketch(spec, prob.n, leverage_p=lev))
-    assert np.linalg.norm(solver(prob, spec) - want) <= 1e-10 * np.linalg.norm(want)
+    want = solver(prob, operator=build_sketch(spec, prob.n, leverage_p=lev)).x
+    assert np.linalg.norm(solver(prob, spec).x - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestIhsSolve:
     def test_fixed_point_unconstrained(self):
         prob = gen_unconstrained(200, 8, 1.0, 11)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         cfg = IhsConfig(SketchSpec("gaussian", 64, 2), rounds=3, x0=x_ls)
         rep = ihs_solve(prob, cfg, reference=x_ls)
         assert max(rep.errors_to_ls) <= 1e-10
 
     def test_fixed_point_constrained(self):
         prob = gen_sparse(300, 12, 3, 1.0, 13)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         cfg = IhsConfig(SketchSpec("gaussian", 80, 4), rounds=2, x0=x_ls)
         rep = ihs_solve(prob, cfg, reference=x_ls)
         # stationary point of the variational inequality: stays put to solver tol
@@ -178,7 +200,7 @@ class TestIhsSolve:
 
     def test_geometric_decay(self):
         prob = gen_unconstrained(2000, 50, 1.0, 17)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         cfg = IhsConfig(SketchSpec("gaussian", 400, 5), rounds=8)
         rep = ihs_solve(prob, cfg, reference=x_ls)
         errs = np.array(rep.errors_to_ls)
@@ -189,7 +211,7 @@ class TestIhsSolve:
     def test_trace_lengths_and_flags(self):
         prob = gen_unconstrained(100, 5, 1.0, 23)
         cfg = IhsConfig(SketchSpec("gaussian", 30, 6), rounds=4)
-        rep = ihs_solve(prob, cfg, reference=solve_exact(prob))
+        rep = ihs_solve(prob, cfg, reference=solve_exact(prob).x)
         assert len(rep.iterates) == 5
         assert len(rep.errors_to_ls) == 5
         assert len(rep.errors_to_truth) == 5
@@ -200,8 +222,8 @@ class TestIhsSolve:
     def test_seed_determinism_bit_identical(self):
         prob = gen_sparse(200, 10, 3, 1.0, 29)
         cfg = IhsConfig(SketchSpec("ros", 40, 7), rounds=3)
-        r1 = ihs_solve(prob, cfg, reference=solve_exact(prob))
-        r2 = ihs_solve(prob, cfg, reference=solve_exact(prob))
+        r1 = ihs_solve(prob, cfg, reference=solve_exact(prob).x)
+        r2 = ihs_solve(prob, cfg, reference=solve_exact(prob).x)
         for a, b in zip(r1.iterates, r2.iterates):
             assert np.array_equal(a, b)
         assert r1.errors_to_ls == r2.errors_to_ls
@@ -237,7 +259,7 @@ class TestIhsSolve:
     def test_block_problem_matches_paper_sketch(self):
         # stacked multi-response problem: block sketch keeps IHS near exact
         prob = gen_lowrank(40, 8, 6, 2, 0.25, 43)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         cfg = IhsConfig(SketchSpec("gaussian", 30, 11), rounds=5)
         rep = ihs_solve(prob, cfg, reference=x_ls)
         assert rep.errors_to_ls[-1] <= 0.1 * prob.seminorm(x_ls)
@@ -363,7 +385,7 @@ class TestRoundPipeline:
         sys.setswitchinterval(1e-5)
         try:
             rep = ihs_solve(prob, IhsConfig(spec, 8, collect_certificates=certificates),
-                            reference=solve_exact(prob),
+                            reference=solve_exact(prob).x,
                             operator_factory=lambda t: _CountingOperator(
                                 "gaussian", prob.n, spec.m,
                                 matrix=build_sketch(spec.for_round(t), prob.n).matrix))
@@ -407,7 +429,7 @@ class TestRoundPipeline:
         # so did collecting certificates from realized operators
         n, m = 20000, 200
         prob = gen_unconstrained(n, 10, 1.0, 251)
-        ref = solve_exact(prob)
+        ref = solve_exact(prob).x
         cfg = IhsConfig(SketchSpec("gaussian", m, 37), 3, collect_certificates=certificates)
         ihs_solve(prob, cfg, reference=ref)   # warm-up; the traced solve starts its own workers
         tracemalloc.start()
@@ -496,7 +518,7 @@ class TestRoundPipeline:
 class TestCertificates:
     def test_identity_sketch(self):
         prob = gen_unconstrained(60, 4, 1.0, 47)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         z1, z2 = contraction_certificates_unconstrained(
             prob.A, identity_sketch(60), x_ls)
         assert z1 == pytest.approx(1.0, abs=1e-10)
@@ -504,7 +526,7 @@ class TestCertificates:
 
     def test_matches_dense_oracle(self):
         prob = gen_unconstrained(80, 6, 1.0, 53)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         op = build_sketch(SketchSpec("ros", 24, 12), 80)
         z1, z2 = contraction_certificates_unconstrained(prob.A, op, x_ls)
         s = op.materialize()
@@ -544,7 +566,7 @@ class TestCertificates:
         # rounds draw no operator; each round's (Z1, Z2) is still that of
         # the operator build_sketch draws for it, at the round's iterate
         prob = gen_unconstrained(1000, 8, 1.0, 269)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         spec = SketchSpec(kind, 64, 43)
         rep = ihs_solve(prob, IhsConfig(spec, 4, collect_certificates=True), reference=x_ls)
         assert len(rep.certificates) == 4
@@ -556,7 +578,7 @@ class TestCertificates:
 
     def test_zero_direction_flagged_as_zero(self):
         prob = gen_unconstrained(50, 4, 1.0, 59)
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         op = build_sketch(SketchSpec("gaussian", 20, 13), 50)
         _, z2 = contraction_certificates_unconstrained(prob.A, op, x_ls, x_start=x_ls)
         assert z2 == 0.0
@@ -574,7 +596,7 @@ class TestCertificates:
         # epsilon(1/2) = {Z1 >= 0.5, Z2 <= 0.25} holds whp at m = 48 d
         d, n = 10, 400
         prob = gen_unconstrained(n, d, 1.0, (61, 0))
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         hits = 0
         for t in range(100):
             op = build_sketch(SketchSpec("gaussian", 48 * d, 99, stream=(t,)), n)
@@ -588,7 +610,7 @@ class TestCertificates:
         slack = 1e-9
         for run in range(10):
             prob = gen_unconstrained(400, 10, 1.0, (67, run))
-            x_ls = solve_exact(prob)
+            x_ls = solve_exact(prob).x
             cfg = IhsConfig(SketchSpec("gaussian", 80, 14, stream=(run,)), rounds=5,
                             collect_certificates=True)
             rep = ihs_solve(prob, cfg, reference=x_ls)
@@ -603,7 +625,7 @@ class TestCertificates:
         cnt = tot = 0
         for run in range(20):
             prob = gen_unconstrained(400, 10, 1.0, (71, run))
-            x_ls = solve_exact(prob)
+            x_ls = solve_exact(prob).x
             cfg = IhsConfig(SketchSpec("gaussian", 80, 15, stream=(run,)), rounds=5,
                             collect_certificates=True)
             rep = ihs_solve(prob, cfg, reference=x_ls)
@@ -620,7 +642,7 @@ class TestTunedStep:
     @staticmethod
     def _trace(prob, spec, step, rounds=4, **kw):
         cfg = IhsConfig(spec, rounds, step=step, **kw)
-        return ihs_solve(prob, cfg, reference=solve_exact(prob))
+        return ihs_solve(prob, cfg, reference=solve_exact(prob).x)
 
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
@@ -654,7 +676,7 @@ class TestTunedStep:
             prob = gen_unconstrained(200, 6, 1.0, 83)
             op = build_sketch(SketchSpec("gaussian", 40, 19), 200)
             kw = {"operator_factory": lambda t: op}
-        x_ls = solve_exact(prob)
+        x_ls = solve_exact(prob).x
         reps = [ihs_solve(prob, IhsConfig(spec, 3, step=s), reference=x_ls, **kw)
                 for s in ("plain", "tuned")]
         for a, b in zip(reps[0].iterates, reps[1].iterates):
@@ -668,7 +690,7 @@ class TestTunedStep:
         checked = unshifted_violations = 0
         for run in range(25):
             prob = gen_unconstrained(n, d, 1.0, (89, run))
-            x_ls = solve_exact(prob)
+            x_ls = solve_exact(prob).x
             spec = SketchSpec("gaussian", m, 20, stream=(run,))
             rep = self._trace(prob, spec, "tuned", rounds=rounds, collect_certificates=True)
             for t, (z1, z2) in enumerate(rep.certificates):
@@ -706,6 +728,11 @@ class TestRecommenders:
             recommend_sketch_size("sparse", d=64, rho=0.5)
         with pytest.raises(MissingHintError):
             recommend_sketch_size("lowrank", d1=10, d2=10, rho=0.5)
+
+    @pytest.mark.parametrize("family", ["l1", "nuclear", "gaussian", "dense"])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(ValueError, match="unknown family"):
+            recommend_sketch_size(family, d=10, s=2, d1=3, d2=3, r=1)
 
     def test_rho_range_checked(self):
         with pytest.raises(ValueError):
@@ -747,9 +774,9 @@ class TestInnerSchedule:
     def test_same_accuracy_fewer_inner_iterations(self, case):
         make, m, rounds = self.CASES[case]
         prob = make()
-        x_ref, ok = solve_exact(prob, SolverControls(tol=1e-14, max_iter=200_000),
-                                full_result=True)
-        assert ok
+        exact = solve_exact(prob, SolverControls(tol=1e-14, max_iter=200_000))
+        assert exact.all_converged
+        x_ref = exact.x
         scale = prob.seminorm(x_ref)
         fixed = self._run(prob, m, rounds, "fixed", x_ref)
         tracking = self._run(prob, m, rounds, "tracking", x_ref)
@@ -812,12 +839,12 @@ class TestInnerSchedule:
         cfg = IhsConfig(SketchSpec("gaussian", m, 0), 1, inner_schedule="tracking")
         rep = ihs_solve(prob, cfg, operator_factory=lambda t: op)
         assert rep.all_converged
-        want = hessian_sketch_solve(prob, operator=op)
+        want = hessian_sketch_solve(prob, operator=op).x
         assert prob.seminorm(rep.x - want) <= 1e-9
 
     def test_unconstrained_identical_under_both_schedules(self):
         prob = gen_unconstrained(300, 12, 1.0, 103)
-        reps = [self._run(prob, 72, 5, schedule, solve_exact(prob))
+        reps = [self._run(prob, 72, 5, schedule, solve_exact(prob).x)
                 for schedule in ("fixed", "tracking")]
         for a, b in zip(reps[0].iterates, reps[1].iterates):
             assert np.array_equal(a, b)
@@ -869,8 +896,8 @@ class TestBlockProblems:
     def test_solvers_match_flat_form(self, kind, constrained, tol):
         block, flat = self._problems(constrained)
         spec = SketchSpec(kind, self.M, 7)
-        x_ls = solve_exact(flat)
-        assert _rel(solve_exact(block), x_ls) <= tol
+        x_ls = solve_exact(flat).x
+        assert _rel(solve_exact(block).x, x_ls) <= tol
 
         cfg = IhsConfig(spec, 4, inner_schedule="fixed")
         got = ihs_solve(block, cfg, reference=x_ls)
@@ -884,12 +911,12 @@ class TestBlockProblems:
 
         op = self._flat_operator(block, spec)
         for solver in (classical_sketch_solve, hessian_sketch_solve):
-            assert _rel(solver(block, spec), solver(flat, operator=op)) <= tol
+            assert _rel(solver(block, spec).x, solver(flat, operator=op).x) <= tol
 
     def test_certificates_match_flat_form(self):
         block, flat = self._problems(constrained=False)
         spec = SketchSpec("gaussian", self.M, 8)
-        x_ls = solve_exact(flat)
+        x_ls = solve_exact(flat).x
         cfg = IhsConfig(spec, 3, collect_certificates=True)
         got = ihs_solve(block, cfg, reference=x_ls).certificates
         want = ihs_solve(flat, cfg, reference=x_ls, operator_factory=lambda t: (

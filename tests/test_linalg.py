@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,8 @@ from ihskit.errors import (
 from ihskit import linalg
 from ihskit.linalg import (
     _factor_sizes,
+    ensure_matrix,
+    ensure_vector,
     estimate_opnorm_sq,
     fwht_normalized,
     hadamard_rows,
@@ -315,3 +319,32 @@ class TestCheckFinite:
         for got, want in zip(thin_svd(f, check_finite=False), thin_svd(a)):
             assert np.array_equal(got, want)
         assert np.array_equal(solve_psd(g, b, check_finite=False), solve_psd(g, b))
+
+
+class TestEnsureFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [0, -1])
+    def test_one_bad_entry_rejected(self, bad, pos):
+        m = np.ones((4, 3))
+        m.flat[pos] = bad
+        with pytest.raises(NonFiniteError, match="A contains non-finite"):
+            ensure_matrix(m, "A")
+        with pytest.raises(NonFiniteError, match="y contains non-finite"):
+            ensure_vector(m.ravel(), "y")
+
+    def test_finite_and_empty_inputs_pass_through(self):
+        m = rng.standard_normal((5, 2))
+        assert ensure_matrix(m) is m
+        assert ensure_vector(m[:, 0]).shape == (5,)
+        assert ensure_matrix(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_check_allocates_no_mask(self):
+        # a boolean mask of this input would take 1,000,000 bytes
+        m = np.random.default_rng(4409).standard_normal((2000, 500))
+        tracemalloc.start()
+        try:
+            assert ensure_matrix(m) is m
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
