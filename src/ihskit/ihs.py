@@ -40,8 +40,8 @@ the pair ``(Z1, Z2)``: the smallest restricted eigenvalue of
 from ``mu I`` between the current error direction and that range. Then
 ``||A e_{t+1}|| <= (Z2 / Z1) ||A e_t||`` holds exactly for either step.
 Both are read off the d x d restricted Gram ``H = U^T (S^T S / m) U``,
-U an orthonormal basis of range(A), which a round forms from its
-``S A`` beside its Gram, so that no round keeps its operator.
+U an orthonormal basis of range(A), which a round reduces from its
+sketch beside its Gram, so that no round keeps its operator.
 
 Constrained rounds have no closed form; projected gradient solves them,
 warm-started at x_t. ``IhsConfig.inner_schedule`` sets its tolerance:
@@ -77,36 +77,35 @@ against 0.47 for exact solves, and a relative error of 1e-8 takes
 14-18 rounds (median 16) and a median 56.5 inner iterations per
 problem, against 23-29 rounds (median 24.5) and 580.5 iterations exact.
 
-A round's sketch does not depend on the iterate, so ``ihs_solve``
-draws and applies it ahead of time: rounds t+1 and t+2 are drawn,
-applied to A and reduced to their Gram matrices on worker threads that
-the solve starts for itself, while the calling thread forms the gradient
-and solves round t. The solve stops its workers before it returns or
-raises, so no thread outlives it. Each round's stream is fixed by
-``(seed, t)``, so the output does not depend on the order in which the
-rounds are drawn. A fixed ``operator_factory(t)`` must therefore be a
-pure function of t: it is called on a worker thread, up to two rounds
-before round t is solved.
+An IHS round, like either one-shot sketch, depends on its sketch only
+through the Gram of ``S A`` (and of ``S [A | y]`` for the classical
+sketch), and takes it from :func:`~ihskit.sketch.sketch_gram`. A
+Gaussian or Rademacher sketch is drawn there in panels of
+``PANEL_ROWS`` rows, the same draws as ``build_sketch``, and the
+panels' products with A are reduced into the Gram, and into H when
+certificates are collected, a block of at least d rows at a time. No
+such solve holds the m x n sketch or the m x d matrix ``S A``: a round
+holds one panel (two for Rademacher) and a block of at most m x d. The
+block sums round differently from the Gram of the whole ``S A`` in the
+last bits. Any other sketch, of ROS or row-sampling kind or from an
+``operator_factory``, forms ``S A`` and reduces it once.
 
-A round without an ``operator_factory`` forms ``S A`` without an
-operator (:func:`~ihskit.sketch.sketch_product`). A Gaussian or
-Rademacher sketch is then drawn and applied in panels of
-``PANEL_ROWS`` rows, so a round holds one panel (two for Rademacher)
-besides its m x d matrix ``S A`` and its Gram, whatever n is. Such a
-solve has ``LOOKAHEAD`` workers, which draw at once: numpy's random fill
-and BLAS release the interpreter lock, so the draws run on two cores.
-The panel product gives the same draws as ``build_sketch``, but at some
-shapes BLAS rounds a panel's rows differently from those of the whole
-product. Every other solve, of ROS or row-sampling rounds or of an
-``operator_factory``, has one worker, which runs the rounds' applies,
-and the Gram products of their outputs, in order. One such apply and its
-sketched matrix live at a time, however the threads are scheduled, so
-the solve's transient memory is that of a single apply, beside the
-realized operators: two drawn ahead, each holding its m x n matrix if
-it is dense, and freed when its apply returns. Small rounds, with fewer
-than ``POOL_MIN_ENTRIES`` entries in the sketch and A, take the same
-steps in the same order on the calling thread, where a worker would
-cost more in hand-offs than it saves.
+A round's sketch does not depend on the iterate, so ``ihs_solve``
+draws a large Gaussian or Rademacher round ahead of time: rounds t+1
+and t+2 are drawn and reduced to their Gram matrices on ``LOOKAHEAD``
+worker threads that the solve starts for itself, while the calling
+thread forms the gradient and solves round t. numpy's random fill and
+BLAS release the interpreter lock, so the draws run on two cores. The
+solve stops its workers before it returns or raises, so no thread
+outlives it. Each round's stream is fixed by ``(seed, t)``, so the
+output does not depend on the order in which the rounds are drawn.
+
+Every other round runs on the calling thread when it is solved, with
+nothing drawn ahead: ROS and row-sampling rounds, rounds of an
+``operator_factory``, and rounds with fewer than ``POOL_MIN_ENTRIES``
+entries in the sketch and A. ``operator_factory(t)`` is then called
+once per round, in order, on the calling thread, and one apply and its
+``S A`` live at a time.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -124,7 +123,7 @@ import scipy.linalg
 from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
 from .linalg import ensure_matrix, ensure_vector, thin_svd, top_eigenvalue
-from .sketch import PANEL_KINDS, SketchOperator, SketchSpec, leverage_scores, sketch_product
+from .sketch import PANEL_KINDS, SketchOperator, SketchSpec, leverage_scores, sketch_gram
 from .sketch import build_sketch  # unused here, but perfbench's tracer wraps this name
 from .subsolver import (
     SketchedQuadratic,
@@ -155,12 +154,17 @@ INNER_SCHEDULES = ("tracking", "fixed")
 # the outer step less.
 TRACKING_FACTOR = 0.02
 
-# Rounds whose sketch is drawn and applied ahead of the round being
-# solved, and the workers of a solve whose rounds draw in panels.
+# Rounds of a Gaussian or Rademacher sketch that are drawn ahead of the
+# round being solved, and the workers that draw them. Other kinds draw
+# nothing ahead. A ROS apply on a worker overlapped nothing: at 3000 x
+# 128, m = 888 (l1 ball, 12 rounds; one BLAS thread, 8 interleaved runs
+# on 2 shared cores) it took a median 8.1 ms wall against 6.9 ms CPU per
+# round, and a solve 120 ms, against 111 ms with every apply on the
+# calling thread.
 LOOKAHEAD = 2
 
-# Rounds whose sketch and A_base hold fewer entries than this,
-# n_base (m + d_base), draw and apply on the calling thread instead.
+# Gaussian and Rademacher rounds whose sketch and A_base hold fewer
+# entries than this, n_base (m + d_base), run on the calling thread too.
 # Their iterate-free part takes a few hundred microseconds, most of it in
 # the interpreter, so a worker overlaps little of it and costs the
 # calling thread interpreter-lock hand-offs. On perfbench's
@@ -301,11 +305,10 @@ class IhsReport:
     ``problem.truth``, if set, and to ``ihs_solve``'s ``reference``.
 
     ``per_round_seconds`` is the calling thread's time per round: its
-    wait for the round's sketched Gram, drawn ahead on one of the solve's
-    worker threads, plus its solve of the round. A small round, drawn on
-    the calling thread (see ``POOL_MIN_ENTRIES``), counts the draw of the
-    round two ahead instead of a wait. The sum is about the solve's wall
-    time.
+    wait for the round's sketched Gram, when a worker of the solve drew
+    it ahead, or else its own draw and reduction of it, plus its solve of
+    the round (see the module docstring for which rounds draw ahead). The
+    sum is about the solve's wall time.
     """
 
     iterates: List[np.ndarray]
@@ -365,25 +368,23 @@ def solve_exact(problem: LsProblem, ctl: Optional[SolverControls] = None) -> Ihs
 def _one_shot(problem: LsProblem, spec, ctl, operator, sketch_response) -> IhsReport:
     """The classical (``sketch_response``) or the Hessian sketch solve.
 
-    Without an operator the sketch is drawn from ``spec`` by
-    :func:`sketch_product`. The classical solve sketches ``[A | y]`` in
-    one pass.
+    The sketch, ``operator`` or else a draw from ``spec``, reaches the
+    solve only through its Gram (:func:`sketch_gram`), so a dense draw
+    never forms ``S A``. The classical solve takes both G and c from the
+    Gram of ``S [A | y]``, sketched in one pass.
     """
     tic = time.perf_counter()
     a, y = _base_form(problem)
     if operator is None and spec is None:
         raise ValueError("either a sketch spec or a realized operator is required")
     d = a.shape[1]
-    src = np.column_stack((a, y)) if sketch_response else a
-    if operator is not None:
-        say = operator.apply(src)
+    sketch, lev = (spec, _leverage_for(a, spec)) if operator is None else (operator, None)
+    if sketch_response:
+        gram = sketch_gram(sketch, np.column_stack((a, y)), problem.n, leverage_p=lev)[0]
+        g, c = gram[:d, :d], (gram[:d, d:] if y.ndim == 2 else gram[:d, d])
     else:
-        say = sketch_product(spec, src, leverage_p=_leverage_for(a, spec))
-    sa = say[:, :d]
-    sy = (say[:, d:] if y.ndim == 2 else say[:, d]) if sketch_response else None
-    scale = problem.n * sa.shape[0]
-    c = sa.T @ sy / scale if sketch_response else a.T @ y / problem.n
-    q = SketchedQuadratic(sa / math.sqrt(scale), c, problem.set)
+        g, c = sketch_gram(sketch, a, problem.n, leverage_p=lev)[0], a.T @ y / problem.n
+    q = SketchedQuadratic(None, c, problem.set, G=g)
     res = solve_constrained(q, x0=None, ctl=ctl)
     return _report(problem, [res.x], [time.perf_counter() - tic], [res.converged],
                    [res.iterations])
@@ -430,13 +431,6 @@ def _range_basis(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return s, vt.T / s
 
 
-def _restricted_gram(b: np.ndarray, basis) -> np.ndarray:
-    """``H = U^T (S^T S / m) U`` from ``B = S A``, as ``S U = B (V / s)``. Its
-    error grows as eps cond(A), and would as eps cond(A)^2 from ``B^T B``."""
-    su = b @ basis[1]
-    return su.T @ su / b.shape[0]
-
-
 def _round_certificates(h: np.ndarray, basis, error: np.ndarray, mu: float = 1.0):
     """(Z1, Z2) of a sketch with restricted Gram ``h`` at the error
     ``x_ref - x_t`` (d_base x k on a block problem). ``A error = U c`` with
@@ -471,7 +465,8 @@ def contraction_certificates_unconstrained(
         if v.shape[0] != am.shape[1]:
             raise DimensionError(f"{name} has length {v.shape[0]}, A has {am.shape[1]} columns")
     basis = _range_basis(am)
-    return _round_certificates(_restricted_gram(op.apply(am), basis), basis, xv - start)
+    h = sketch_gram(op, am, am.shape[0], w=basis[1])[1]
+    return _round_certificates(h, basis, xv - start)
 
 
 def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> float:
@@ -482,26 +477,6 @@ def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> 
             or m <= d + 3):
         return 1.0
     return (m - d) * (m - d - 3) / (m * (m - 1))
-
-
-class _CallingThread(Executor):
-    """Runs each submitted call at once on the calling thread; its
-    ``shutdown`` is the base class's no-op."""
-
-    def submit(self, fn, /, *args) -> Future:
-        fut: Future = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:        # raised when the round is taken, as from a worker
-            fut.set_exception(exc)
-        return fut
-
-
-def _scaled_gram(b: np.ndarray, n: int) -> np.ndarray:
-    """The Gram of ``B / sqrt(n m)`` for the m x d sketched matrix
-    ``B = S A``, which it scales in place."""
-    b /= math.sqrt(n * b.shape[0])
-    return b.T @ b
 
 
 def _first_step(q: SketchedQuadratic, x: np.ndarray, lam: float) -> np.ndarray:
@@ -526,11 +501,10 @@ def ihs_solve(
     recorded, and certificates as well if requested and the problem is
     unconstrained. ``operator_factory(t)`` overrides the draw of round
     t (1-based) with a fixed realized sketch, of n/k rows on a block
-    problem. It must be a pure function of t: it is called on the
-    solve's one worker thread, up to two rounds before round t is solved
-    (see the module docstring), and an exception it or the operator's
-    ``apply`` raises reaches the caller unchanged, after the worker has
-    stopped. A singular sketched Gram in an unconstrained round raises
+    problem. It is called once per round, in order, on the calling
+    thread, when round t is solved (see the module docstring), and an
+    exception it or the operator's ``apply`` raises reaches the caller
+    unchanged. A singular sketched Gram in an unconstrained round raises
     :class:`RankDeficiencyError`.
 
     ``config.step`` selects the unconstrained update ``x+ = G^-1 (G x +
@@ -558,15 +532,15 @@ def ihs_solve(
     want_certs = config.collect_certificates and ref is not None and unconstrained
     basis = _range_basis(a) if want_certs else None
 
-    # The iterate-free part of a round, run on a worker of this solve (or,
-    # for a small round, on the calling thread): the certificates' H and
-    # the Gram of S A / sqrt(n m), so S A is freed before the part returns.
+    # The iterate-free part of a round: the Gram of S A / sqrt(n m) and the
+    # certificates' H, drawn ahead on a worker of this solve or taken on
+    # the calling thread when the round is solved.
     lev = None if operator_factory is not None else _leverage_for(a, config.spec)
+    w = basis[1] if want_certs else None
 
     def sketched_gram(t):
-        op = None if operator_factory is None else operator_factory(t)
-        b = sketch_product(config.spec.for_round(t), a, lev) if op is None else op.apply(a)
-        return (_restricted_gram(b, basis) if want_certs else None), _scaled_gram(b, n)
+        sketch = config.spec.for_round(t) if operator_factory is None else operator_factory(t)
+        return sketch_gram(sketch, a, n, w, lev)
 
     xs = [x]
     seconds: List[float] = []
@@ -574,18 +548,16 @@ def ihs_solve(
     flags: List[bool] = []
     inner_iters: List[int] = []
 
-    # Panel rounds draw on LOOKAHEAD workers at once. Any other round runs
-    # on a single worker, which takes the applies in order, so one apply
-    # and its S A are alive at a time.
-    if a.shape[0] * (config.spec.m + a.shape[1]) < POOL_MIN_ENTRIES:
-        pool = _CallingThread()
-    else:
-        panel = operator_factory is None and config.spec.kind in PANEL_KINDS
-        pool = ThreadPoolExecutor(LOOKAHEAD if panel else 1, thread_name_prefix="ihskit")
+    # Large panel rounds draw ahead on LOOKAHEAD workers at once; every
+    # other round runs on the calling thread when it is solved.
+    pool = None
+    if (operator_factory is None and config.spec.kind in PANEL_KINDS
+            and a.shape[0] * (config.spec.m + a.shape[1]) >= POOL_MIN_ENTRIES):
+        pool = ThreadPoolExecutor(LOOKAHEAD, thread_name_prefix="ihskit")
     ahead: deque = deque()
 
     def draw_ahead(t):
-        if t <= config.rounds:
+        if pool is not None and t <= config.rounds:
             ahead.append(pool.submit(sketched_gram, t))
 
     try:
@@ -593,7 +565,7 @@ def ihs_solve(
             draw_ahead(t)
         for t in range(1, config.rounds + 1):
             tic = time.perf_counter()
-            h, gram = ahead.popleft().result()
+            gram, h = ahead.popleft().result() if pool is not None else sketched_gram(t)
             draw_ahead(t + LOOKAHEAD)
             if want_certs:
                 certs.append(_round_certificates(h, basis, ref - x, mu))
@@ -615,7 +587,8 @@ def ihs_solve(
             xs.append(x)
     finally:
         # no round of this solve is left queued or running, nor its workers
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     return _report(problem, xs, seconds, flags, inner_iters, reference, certs)
 

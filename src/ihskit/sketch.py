@@ -20,15 +20,18 @@ A sketch is a random m x n matrix S normalized so that
 
 :func:`build_sketch` realizes the operator, which for the two dense
 kinds holds all of the m x n matrix. A caller that needs only ``S A``
-calls :func:`sketch_product`, which draws a dense sketch in panels of
-``PANEL_ROWS`` rows and never holds more than one panel of it.
+calls :func:`sketch_product`, and one that needs only its Gram calls
+:func:`sketch_gram`. Both draw a dense sketch in panels of
+``PANEL_ROWS`` rows and never hold more than one panel of it, and
+``sketch_gram`` never holds ``S A`` either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,17 +41,21 @@ from .seeding import derive_rng
 
 KINDS = ("gaussian", "rademacher", "ros", "rowsample_uniform", "rowsample_leverage")
 
-# Kinds whose entries are i.i.d. draws, so that sketch_product can draw
-# them a panel of rows at a time.
+# Kinds whose entries are i.i.d. draws, so that sketch_product and
+# sketch_gram can draw them a panel of rows at a time.
 PANEL_KINDS = ("gaussian", "rademacher")
 
-# Rows of a dense sketch that sketch_product draws and multiplies at a
-# time, 512 KiB of panel at n = 2048. The draw dominates, so the panel
-# only has to keep the products from getting too short: on perfbench's
-# ls_gaussian shape (2048 x 48, m = 288; one BLAS thread, 150
-# interleaved repeats on 2 shared cores) a Gaussian draw and product
-# took a median 15.0 ms with the whole sketch, 15.4 ms in panels of 16
-# rows, 14.9 ms of 32 and 14.8 ms of 64.
+# Rows of a dense sketch drawn and multiplied at a time, 512 KiB of
+# panel at n = 2048. The draw dominates, so the panel only has to keep
+# the products from getting too short: on perfbench's ls_gaussian shape
+# (2048 x 48, m = 288; one BLAS thread, 150 interleaved repeats on 2
+# shared cores) a Gaussian draw and product took a median 15.0 ms with
+# the whole sketch, 15.4 ms in panels of 16 rows, 14.9 ms of 32 and
+# 14.8 ms of 64. sketch_gram reduces the panels' products in blocks of
+# at least d rows, not one panel at a time: at 4096 x 512, m = 3072 (one
+# BLAS thread, medians of 4) a Gaussian draw and reduction took 0.85 s
+# with a Gram product per 32-row panel, 0.70 s in blocks of 512 rows and
+# 0.72 s through the whole S A.
 PANEL_ROWS = 32
 
 
@@ -185,34 +192,107 @@ def build_sketch(spec: SketchSpec, n: int, leverage_p=None) -> SketchOperator:
     return op
 
 
-def sketch_product(spec: SketchSpec, a: np.ndarray, leverage_p=None) -> np.ndarray:
-    """``S A`` for the sketch S that ``build_sketch(spec, n, leverage_p)``
-    draws, with n the rows of A.
-
-    A Gaussian or Rademacher S is never held whole. Its rows are drawn
-    ``PANEL_ROWS`` at a time from the spec's stream into one reused
-    buffer, the same numbers in the same order as ``build_sketch``
-    draws them, and each panel is multiplied into its rows of the result
-    as soon as it is drawn. The sketch then takes one panel of memory,
-    and a Rademacher draw one more for its integers. Every other kind is
-    drawn by ``build_sketch`` and applied.
-
-    ``a`` is trusted to be a float64 C-order matrix that
-    :func:`~ihskit.linalg.ensure_matrix` has checked.
-    """
-    n = a.shape[0]
-    if spec.kind not in PANEL_KINDS:
-        return build_sketch(spec, n, leverage_p=leverage_p)._apply(a)
+def _panels(spec: SketchSpec, n: int):
+    """Yield ``(i, panel)``: rows i, i+1, ... of the dense sketch that
+    ``build_sketch(spec, n)`` draws, ``PANEL_ROWS`` at a time, drawn from
+    the spec's stream into one reused buffer, the same numbers in the same
+    order. A panel is overwritten by the next one."""
     if n < 1:
         raise ValueError(f"source dimension n must be >= 1, got {n}")
     rng = derive_rng(spec.seed, *spec.stream)
-    out = np.empty((spec.m, a.shape[1]))
     buf = np.empty((min(PANEL_ROWS, spec.m), n))
     for i in range(0, spec.m, PANEL_ROWS):
         panel = buf[: min(PANEL_ROWS, spec.m - i)]
         _draw_rows(rng, spec.kind, panel)
+        yield i, panel
+
+
+def sketch_product(spec: SketchSpec, a: np.ndarray, leverage_p=None) -> np.ndarray:
+    """``S A`` for the sketch S that ``build_sketch(spec, n, leverage_p)``
+    draws, with n the rows of A.
+
+    A Gaussian or Rademacher S is never held whole. Its rows are drawn a
+    panel at a time (:func:`_panels`), and each panel is multiplied into
+    its rows of the result as soon as it is drawn. The sketch then takes
+    one panel of memory, and a Rademacher draw one more for its integers.
+    Every other kind is drawn by ``build_sketch`` and applied.
+
+    ``a`` is trusted to be a float64 C-order matrix that
+    :func:`~ihskit.linalg.ensure_matrix` has checked.
+    """
+    if spec.kind not in PANEL_KINDS:
+        return build_sketch(spec, a.shape[0], leverage_p=leverage_p)._apply(a)
+    out = np.empty((spec.m, a.shape[1]))
+    for i, panel in _panels(spec, a.shape[0]):
         np.matmul(panel, a, out=out[i : i + panel.shape[0]])
     return out
+
+
+def _row_blocks(sketch, a: np.ndarray, leverage_p):
+    """``S A`` in blocks of consecutive rows, for :func:`sketch_gram`.
+    A block may be overwritten by the next one."""
+    if isinstance(sketch, SketchOperator):
+        yield sketch.apply(a)
+        return
+    if sketch.kind not in PANEL_KINDS:
+        yield build_sketch(sketch, a.shape[0], leverage_p=leverage_p)._apply(a)
+        return
+    m = sketch.m
+    rows = min(m, PANEL_ROWS * math.ceil(max(PANEL_ROWS, a.shape[1]) / PANEL_ROWS))
+    block = np.empty((rows, a.shape[1]))
+    for i, panel in _panels(sketch, a.shape[0]):
+        j = i % rows                # a block is whole panels, or all m rows
+        end = j + panel.shape[0]
+        np.matmul(panel, a, out=block[j:end])
+        if end == rows or i + panel.shape[0] == m:
+            yield block[:end]
+
+
+def sketch_gram(sketch, a: np.ndarray, n: int, w: Optional[np.ndarray] = None,
+                leverage_p=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(G, H)`` with ``G = (S A)^T (S A) / (n m)`` and, given ``w``, the
+    restricted Gram ``H = (S A W)^T (S A W) / m``; H is None without w.
+
+    ``sketch`` is a realized :class:`SketchOperator`, which is applied, or
+    a :class:`SketchSpec`, drawn as ``build_sketch(sketch, rows of A,
+    leverage_p)`` draws it. ``n`` is the row count of the objective's
+    ``1/2n`` scaling, which on a block problem exceeds the rows of A.
+
+    A Gaussian or Rademacher spec is drawn in panels of ``PANEL_ROWS``
+    rows, the same numbers as :func:`sketch_product` draws, whose products
+    with A fill a block of R rows: ``max(PANEL_ROWS, d)`` rounded up to
+    whole panels, or all m rows if fewer. Each full block is added into G
+    by one symmetric rank-R product, and into H through ``block @ W``.
+    ``S A`` is never formed: the block holds at most m x d. Any other
+    sketch forms ``S A`` and reduces it once, its only block. The sums of
+    block Grams differ from the Gram of the whole ``S A`` in the last bits.
+
+    ``a`` is trusted to be a float64 C-order matrix that
+    :func:`~ihskit.linalg.ensure_matrix` has checked.
+    """
+    m = sketch.m
+    g = h = None
+    for block in _row_blocks(sketch, a, leverage_p):
+        if w is not None:
+            # from S A W rather than from G: its error then grows as
+            # eps cond(A), not eps cond(A)^2
+            h = _add_gram(h, block @ w)
+        block /= math.sqrt(n * m)
+        g = _add_gram(g, block)
+    if h is not None:
+        h /= m
+    return g, h
+
+
+def _add_gram(acc: Optional[np.ndarray], b: np.ndarray) -> np.ndarray:
+    """``acc + b^T b``, in place once ``acc`` exists. The first Gram is not
+    allocated before its block is drawn, so that it does not sit beside
+    the transients of an apply."""
+    gram = b.T @ b
+    if acc is None:
+        return gram
+    acc += gram
+    return acc
 
 
 def leverage_scores(a) -> np.ndarray:

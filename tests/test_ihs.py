@@ -38,7 +38,6 @@ from ihskit.sketch import (
     explicit_sketch,
     identity_sketch,
     leverage_scores,
-    sketch_product,
 )
 from ihskit.subsolver import SketchedQuadratic, SolverControls, project_iterate, solve_constrained
 
@@ -268,23 +267,34 @@ class TestIhsSolve:
 
 def _serial_ihs(prob, config):
     """Reference loop: draw, apply and solve every round in turn on the
-    calling thread."""
+    calling thread. A dense sketch's Gram is summed over blocks of
+    ``min(m, max(PANEL_ROWS, d))`` rows, rounded up to whole panels, whose
+    rows are multiplied a panel at a time."""
     a, y, n, m, d = prob.A, prob.y, prob.n, config.spec.m, prob.d
     unconstrained = isinstance(prob.set, Unconstrained)
     mu = 1.0
     if config.step == "tuned" and unconstrained and config.spec.kind == "gaussian":
         mu = (m - d) * (m - d - 3) / (m * (m - 1))
+    rows = min(m, PANEL_ROWS * math.ceil(max(PANEL_ROWS, d) / PANEL_ROWS))
     x = np.zeros(d)
     xs = [x]
     for t in range(1, config.rounds + 1):
         op = build_sketch(config.spec.for_round(t), n)
-        b = op.apply(a) / math.sqrt(n * op.m)
-        gram = b.T @ b
+        if op.matrix is None:
+            blocks = [op.apply(a)]
+        else:
+            blocks = [np.vstack([op.matrix[j : j + PANEL_ROWS] @ a
+                                 for j in range(i, min(i + rows, m), PANEL_ROWS)])
+                      for i in range(0, m, rows)]
+        gram = np.zeros((d, d))
+        for b in blocks:
+            b /= math.sqrt(n * m)
+            gram += b.T @ b
         c = gram @ x + mu * (a.T @ (y - a @ x) / n)
         if unconstrained:
             x = solve_psd(gram, c)
         else:
-            x = solve_constrained(SketchedQuadratic(b, c, prob.set, G=gram), x0=x,
+            x = solve_constrained(SketchedQuadratic(None, c, prob.set, G=gram), x0=x,
                                   ctl=config.inner, lam_max=top_eigenvalue(gram)).x
         xs.append(x)
     return xs
@@ -331,8 +341,9 @@ class _CountingOperator(SketchOperator):
 
 
 class TestRoundPipeline:
-    """Rounds are drawn and applied ahead on worker threads that each
-    solve starts and stops."""
+    """Large Gaussian and Rademacher rounds are drawn ahead on worker
+    threads that each solve starts and stops; every other round runs on
+    the calling thread when it is solved."""
 
     @pytest.fixture(autouse=True)
     def _pool_for_every_size(self, monkeypatch):
@@ -375,8 +386,8 @@ class TestRoundPipeline:
 
     @pytest.mark.parametrize("certificates", [False, True])
     def test_applies_of_one_solve_never_overlap(self, certificates):
-        # the solve's one worker applies, two rounds ahead, with or without
-        # certificates; only it applies an operator, one round after another
+        # the calling thread applies each round's operator when it solves
+        # the round, with or without certificates, one round after another
         prob = gen_unconstrained(200, 6, 1.0, 229)
         spec = SketchSpec("gaussian", 40, 23)
         _CountingOperator.most = 0
@@ -393,31 +404,31 @@ class TestRoundPipeline:
             sys.setswitchinterval(interval)
         assert len(rep.iterates) == 9 and (rep.certificates is not None) == certificates
         assert _CountingOperator.most == 1
-        # a worker's S A that outlived its apply into the other worker's
-        # would make the solve's peak memory depend on how their timings
-        # interleave
+        # an S A that outlived its round into the next apply would raise
+        # the solve's peak memory by one sketched matrix
         assert _CountingOperator.alive_at_start == [0] * 8
 
     @pytest.mark.parametrize("kind, most", [("gaussian", 2), ("ros", 1)])
     def test_panel_rounds_draw_at_once(self, kind, most, monkeypatch):
         # panel rounds draw on two workers at once; ROS rounds apply one at
-        # a time on the solve's single worker
+        # a time on the calling thread
         import ihskit.ihs as ihs_mod
 
         active, seen, guard = [0], [], threading.Lock()
+        sketch_gram = ihs_mod.sketch_gram
 
-        def slow_product(*args, **kwargs):
+        def slow_gram(*args, **kwargs):
             with guard:
                 active[0] += 1
                 seen.append(active[0])
             try:
                 time.sleep(0.005)
-                return sketch_product(*args, **kwargs)
+                return sketch_gram(*args, **kwargs)
             finally:
                 with guard:
                     active[0] -= 1
 
-        monkeypatch.setattr(ihs_mod, "sketch_product", slow_product)
+        monkeypatch.setattr(ihs_mod, "sketch_gram", slow_gram)
         prob = gen_unconstrained(300, 6, 1.0, 239)
         rep = ihs_solve(prob, IhsConfig(SketchSpec(kind, 40, 31), 6))
         assert len(rep.iterates) == 7 and len(seen) == 6 and max(seen) == most
@@ -442,6 +453,53 @@ class TestRoundPipeline:
         assert (rep.certificates is not None) == certificates
         assert peak <= 2 * panel + (1 << 20) < m * n * 8 / 2
 
+    def test_peak_does_not_grow_with_the_sketched_matrix(self):
+        # the rounds reduce S A a block of rows at a time; a solve whose two
+        # workers each formed a whole S A grew by two m x d matrices
+        n, d = 4096, 32
+        prob = gen_unconstrained(n, d, 1.0, 257)
+        peaks = []
+        for m in (4 * d, 32 * d):
+            cfg = IhsConfig(SketchSpec("gaussian", m, 41), 3)
+            ihs_solve(prob, cfg)
+            tracemalloc.start()
+            try:
+                ihs_solve(prob, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * d * d * 8
+
+    @pytest.mark.parametrize("case", ["ros", "rowsample_uniform", "operator_factory"])
+    def test_other_rounds_run_on_the_calling_thread(self, case, monkeypatch):
+        # only panel rounds draw ahead on workers; these apply when their
+        # round is solved, and the factory is called once per round in order
+        prob = gen_unconstrained(600, 8, 1.0, 263)
+        spec = SketchSpec("gaussian" if case == "operator_factory" else case, 60, 43)
+        applies, factory_calls, started = [], [], []
+        apply, start = SketchOperator._apply, threading.Thread.start
+
+        def spy_apply(op, am):
+            applies.append(threading.current_thread().name)
+            return apply(op, am)
+
+        def spy_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        def factory(t):
+            factory_calls.append((t, threading.current_thread().name))
+            return build_sketch(spec.for_round(t), prob.n)
+
+        monkeypatch.setattr(SketchOperator, "_apply", spy_apply)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        rep = ihs_solve(prob, IhsConfig(spec, 5),
+                        operator_factory=factory if case == "operator_factory" else None)
+        assert len(rep.iterates) == 6
+        assert applies == ["MainThread"] * 5 and started == []
+        if case == "operator_factory":
+            assert factory_calls == [(t, "MainThread") for t in range(1, 6)]
+
     def test_pool_threads_bounded_over_many_solves(self):
         prob = gen_sparse(150, 6, 2, 1.0, 233)
         ihs_solve(prob, IhsConfig(SketchSpec("ros", 30, 1), 3))
@@ -459,11 +517,11 @@ class TestRoundPipeline:
             "import ihskit\n"
             "import ihskit.ihs as ihs_mod\n"
             "from ihskit.experiments import gen_unconstrained\n"
-            "product, names = ihs_mod.sketch_product, []\n"
+            "gram, names = ihs_mod.sketch_gram, []\n"
             "def spy(*args):\n"
             "    names.append(threading.current_thread().name.split('_')[0])\n"
-            "    return product(*args)\n"
-            "ihs_mod.sketch_product = spy\n"
+            "    return gram(*args)\n"
+            "ihs_mod.sketch_gram = spy\n"
             "counts, runners = [threading.active_count()], []\n"
             "for n in (200, 2000):  # n (m + d) = 9200 and 92000\n"
             "    prob = gen_unconstrained(n, 6, 1.0, 5)\n"

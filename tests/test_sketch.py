@@ -21,6 +21,7 @@ from ihskit.sketch import (
     explicit_sketch,
     identity_sketch,
     leverage_scores,
+    sketch_gram,
     sketch_product,
     verify_projection_condition,
 )
@@ -100,6 +101,30 @@ def test_sketch_product_of_other_kinds_applies_the_operator(kind):
 def test_sketch_product_rejects_empty_source(kind):
     with pytest.raises(ValueError, match="n must be >= 1"):
         sketch_product(SketchSpec(kind, 3, 1), np.zeros((0, 2)))
+
+
+# (m, rows of A, d): m = 1; m < PANEL_ROWS; m not a multiple of it over
+# several blocks; m < d; m > d over blocks of more than one panel
+GRAM_SHAPES = [(1, 50, 4), (PANEL_ROWS - 7, 60, 5), (3 * PANEL_ROWS + 5, 200, 9),
+               (20, 100, 40), (200, 300, 70)]
+
+
+@pytest.mark.parametrize("kind", PANEL_KINDS)
+@pytest.mark.parametrize("m, rows, d", GRAM_SHAPES)
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_sketch_gram_matches_apply(kind, m, rows, d, blocks):
+    # on a block problem A is A_base and the objective's n is k times its rows
+    spec = SketchSpec(kind, m, 73, stream=(m,))
+    a = rng.standard_normal((rows, d))
+    w = rng.standard_normal((d, d))
+    n = blocks * rows
+    b = build_sketch(spec, rows).apply(a)
+    su = b @ w
+    g, h = sketch_gram(spec, a, n, w)
+    assert _rel_dev(g, b.T @ b / (n * m)) <= 1e-12
+    assert _rel_dev(h, su.T @ su / m) <= 1e-12
+    assert np.array_equal(g, g.T)
+    assert sketch_gram(spec, a, n)[1] is None
 
 
 def test_ros_shape_contract():
