@@ -371,7 +371,7 @@ def _one_shot(problem: LsProblem, spec, ctl, operator, sketch_response) -> IhsRe
     The sketch, ``operator`` or else a draw from ``spec``, reaches the
     solve only through its Gram (:func:`sketch_gram`), so a dense draw
     never forms ``S A``. The classical solve takes both G and c from the
-    Gram of ``S [A | y]``, sketched in one pass.
+    Gram of ``S [A | y]``, sketched in one pass without stacking A and y.
     """
     tic = time.perf_counter()
     a, y = _base_form(problem)
@@ -380,7 +380,7 @@ def _one_shot(problem: LsProblem, spec, ctl, operator, sketch_response) -> IhsRe
     d = a.shape[1]
     sketch, lev = (spec, _leverage_for(a, spec)) if operator is None else (operator, None)
     if sketch_response:
-        gram = sketch_gram(sketch, np.column_stack((a, y)), problem.n, leverage_p=lev)[0]
+        gram = sketch_gram(sketch, a, problem.n, leverage_p=lev, y=y)[0]
         g, c = gram[:d, :d], (gram[:d, d:] if y.ndim == 2 else gram[:d, d])
     else:
         g, c = sketch_gram(sketch, a, problem.n, leverage_p=lev)[0], a.T @ y / problem.n

@@ -228,30 +228,42 @@ def sketch_product(spec: SketchSpec, a: np.ndarray, leverage_p=None) -> np.ndarr
     return out
 
 
-def _row_blocks(sketch, a: np.ndarray, leverage_p):
-    """``S A`` in blocks of consecutive rows, for :func:`sketch_gram`.
-    A block may be overwritten by the next one."""
+def _row_blocks(sketch, a: np.ndarray, leverage_p, y: Optional[np.ndarray]):
+    """``S A``, or ``S [A | y]`` given y, in blocks of consecutive rows, for
+    :func:`sketch_gram`. A and y are sketched apart, by the same draws, and
+    never stacked. A block may be overwritten by the next one."""
+    d = a.shape[1]
+    ys = () if y is None else (y.reshape(a.shape[0], -1),)
     if isinstance(sketch, SketchOperator):
-        yield sketch.apply(a)
-        return
-    if sketch.kind not in PANEL_KINDS:
-        yield build_sketch(sketch, a.shape[0], leverage_p=leverage_p)._apply(a)
+        apply = sketch.apply
+    elif sketch.kind not in PANEL_KINDS:
+        apply = build_sketch(sketch, a.shape[0], leverage_p=leverage_p)._apply
+    else:
+        apply = None
+    if apply is not None:
+        yield np.hstack([apply(c) for c in (a,) + ys]) if ys else apply(a)
         return
     m = sketch.m
-    rows = min(m, PANEL_ROWS * math.ceil(max(PANEL_ROWS, a.shape[1]) / PANEL_ROWS))
-    block = np.empty((rows, a.shape[1]))
+    width = d + sum(c.shape[1] for c in ys)
+    rows = min(m, PANEL_ROWS * math.ceil(max(PANEL_ROWS, width) / PANEL_ROWS))
+    block = np.empty((rows, width))
     for i, panel in _panels(sketch, a.shape[0]):
         j = i % rows                # a block is whole panels, or all m rows
         end = j + panel.shape[0]
-        np.matmul(panel, a, out=block[j:end])
+        np.matmul(panel, a, out=block[j:end, :d])
+        for c in ys:
+            np.matmul(panel, c, out=block[j:end, d:])
         if end == rows or i + panel.shape[0] == m:
             yield block[:end]
 
 
 def sketch_gram(sketch, a: np.ndarray, n: int, w: Optional[np.ndarray] = None,
-                leverage_p=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+                leverage_p=None, y: Optional[np.ndarray] = None
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """``(G, H)`` with ``G = (S A)^T (S A) / (n m)`` and, given ``w``, the
     restricted Gram ``H = (S A W)^T (S A W) / m``; H is None without w.
+    Given a response ``y`` (n, or n x k), G is the Gram of ``S [A | y]``
+    instead, y's columns after A's, while H stays that of ``S A W``.
 
     ``sketch`` is a realized :class:`SketchOperator`, which is applied, or
     a :class:`SketchSpec`, drawn as ``build_sketch(sketch, rows of A,
@@ -260,23 +272,24 @@ def sketch_gram(sketch, a: np.ndarray, n: int, w: Optional[np.ndarray] = None,
 
     A Gaussian or Rademacher spec is drawn in panels of ``PANEL_ROWS``
     rows, the same numbers as :func:`sketch_product` draws, whose products
-    with A fill a block of R rows: ``max(PANEL_ROWS, d)`` rounded up to
-    whole panels, or all m rows if fewer. Each full block is added into G
-    by one symmetric rank-R product, and into H through ``block @ W``.
-    ``S A`` is never formed: the block holds at most m x d. Any other
-    sketch forms ``S A`` and reduces it once, its only block. The sums of
-    block Grams differ from the Gram of the whole ``S A`` in the last bits.
+    with A (and with y) fill a block of R rows: ``max(PANEL_ROWS, columns
+    of G)`` rounded up to whole panels, or all m rows if fewer. Each full
+    block is added into G by one symmetric rank-R product, and into H
+    through ``block @ W``. Neither ``S A`` nor ``[A | y]`` is formed: the
+    block holds at most all m of its rows. Any other sketch forms ``S A``
+    (and ``S y``) and reduces it once, its only block. The sums of block
+    Grams differ from the Gram of the whole ``S A`` in the last bits.
 
     ``a`` is trusted to be a float64 C-order matrix that
     :func:`~ihskit.linalg.ensure_matrix` has checked.
     """
-    m = sketch.m
+    m, d = sketch.m, a.shape[1]
     g = h = None
-    for block in _row_blocks(sketch, a, leverage_p):
+    for block in _row_blocks(sketch, a, leverage_p, y):
         if w is not None:
             # from S A W rather than from G: its error then grows as
             # eps cond(A), not eps cond(A)^2
-            h = _add_gram(h, block @ w)
+            h = _add_gram(h, block[:, :d] @ w)
         block /= math.sqrt(n * m)
         g = _add_gram(g, block)
     if h is not None:

@@ -170,6 +170,24 @@ def test_one_shot_spec_matches_its_operator(solver, kind):
     assert np.linalg.norm(solver(prob, spec).x - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "ros"])
+def test_classical_solve_does_not_copy_a(kind):
+    # the classical sketch reduces S A and S y side by side; stacking
+    # [A | y] first held an n x (d + 1) copy, 8.4 MB here
+    prob = gen_unconstrained(4096, 256, 1.0, 269)
+    spec = SketchSpec(kind, 1024, 47)
+    peaks = []
+    for solver in (classical_sketch_solve, hessian_sketch_solve):
+        solver(prob, spec)
+        tracemalloc.start()
+        try:
+            solver(prob, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + (1 << 20)
+
+
 class TestIhsSolve:
     def test_fixed_point_unconstrained(self):
         prob = gen_unconstrained(200, 8, 1.0, 11)
