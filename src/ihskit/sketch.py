@@ -46,10 +46,12 @@ KINDS = ("gaussian", "rademacher", "ros", "rowsample_uniform", "rowsample_levera
 PANEL_KINDS = ("gaussian", "rademacher")
 
 # Rows of a dense sketch drawn and multiplied at a time, 512 KiB of
-# panel at n = 2048. The draw dominates, so the panel only has to keep
-# the products from getting too short: on perfbench's ls_gaussian shape
-# (2048 x 48, m = 288; one BLAS thread, 150 interleaved repeats on 2
-# shared cores) a Gaussian draw and product took a median 15.0 ms with
+# panel at n = 2048. It must be a multiple of 32, so that a Rademacher
+# panel takes whole 32-bit words of its stream (see _draw_rows). The
+# draw dominates, so the panel only has to keep the products from
+# getting too short: on perfbench's ls_gaussian shape (2048 x 48,
+# m = 288; one BLAS thread, 150 interleaved repeats on 2 shared cores,
+# Philox streams) a Gaussian draw and product took a median 15.0 ms with
 # the whole sketch, 15.4 ms in panels of 16 rows, 14.9 ms of 32 and
 # 14.8 ms of 64. sketch_gram reduces the panels' products in blocks of
 # at least d rows, not one panel at a time: at 4096 x 512, m = 3072 (one
@@ -152,11 +154,19 @@ def identity_sketch(n: int) -> SketchOperator:
 
 def _draw_rows(rng: np.random.Generator, kind: str, out: np.ndarray) -> None:
     """Fill ``out`` with the next rows of a dense sketch of ``kind`` from
-    ``rng``: N(0,1) entries for ``gaussian``, +-1 for ``rademacher``."""
+    ``rng``: N(0,1) entries for ``gaussian``, and for ``rademacher`` +-1
+    entries ``2b - 1``, one raw bit b of the stream each, in C order.
+
+    ``Generator.bytes`` draws whole 32-bit words and drops the unused
+    bytes of the last one, so a fill of N entries takes ``ceil(N / 32)``
+    words. A panel of ``PANEL_ROWS`` rows, a multiple of 32, takes whole
+    words at any n, so drawing a sketch a panel at a time consumes the
+    stream exactly as one fill of all its rows does."""
     if kind == "gaussian":
         rng.standard_normal(out=out)
     else:
-        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        raw = np.frombuffer(rng.bytes(-(-out.size // 8)), dtype=np.uint8)
+        np.multiply(np.unpackbits(raw, count=out.size).reshape(out.shape), 2.0, out=out)
         out -= 1.0
 
 
@@ -174,7 +184,8 @@ def build_sketch(spec: SketchSpec, n: int, leverage_p=None) -> SketchOperator:
         op.matrix = np.empty((spec.m, n))
         _draw_rows(rng, spec.kind, op.matrix)
     elif spec.kind == "ros":
-        op.signs = 2.0 * rng.integers(0, 2, size=op.n_pad) - 1.0
+        op.signs = np.empty(op.n_pad)
+        _draw_rows(rng, "rademacher", op.signs)
         op.indices = rng.integers(0, op.n_pad, size=spec.m)
     elif spec.kind == "rowsample_uniform":
         op.probs = np.full(n, 1.0 / n)
@@ -214,7 +225,8 @@ def sketch_product(spec: SketchSpec, a: np.ndarray, leverage_p=None) -> np.ndarr
     A Gaussian or Rademacher S is never held whole. Its rows are drawn a
     panel at a time (:func:`_panels`), and each panel is multiplied into
     its rows of the result as soon as it is drawn. The sketch then takes
-    one panel of memory, and a Rademacher draw one more for its integers.
+    one panel of memory, and a Rademacher draw one byte per entry of a
+    panel more for its unpacked bits.
     Every other kind is drawn by ``build_sketch`` and applied.
 
     ``a`` is trusted to be a float64 C-order matrix that
