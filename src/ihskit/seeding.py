@@ -7,11 +7,11 @@ Distinct paths hash to independent initial states, so the draws are
 reproducible and do not depend on the order, or the thread, in which
 the streams are drawn.
 
-SFC64 is the fastest of numpy's bit generators at the fills that
-dominate a solve: one 288 x 2048 Gaussian fill in 32-row panels (one
-thread, median of 40) took 7.6 ms, against 11.2 ms with PCG64 and
-14.5 ms with Philox, which the package used before. Changing the
-generator changes every seeded output.
+SFC64 is chosen for speed: the Gaussian fills of a sketch dominate a
+dense solve, and one 288 x 2048 fill in 32-row panels took 7.1 ms with
+SFC64 against 10.1 ms with Philox, which the package used before (one
+thread on a shared 2-core machine, medians of 5 runs of 40). Changing
+the generator changes every seeded output.
 """
 
 from __future__ import annotations

@@ -245,7 +245,7 @@ def _row_blocks(sketch, a: np.ndarray, leverage_p, y: Optional[np.ndarray]):
     :func:`sketch_gram`. A and y are sketched apart, by the same draws, and
     never stacked. A block may be overwritten by the next one."""
     d = a.shape[1]
-    ys = () if y is None else (y.reshape(a.shape[0], -1),)
+    y = None if y is None else y.reshape(a.shape[0], -1)
     if isinstance(sketch, SketchOperator):
         apply = sketch.apply
     elif sketch.kind not in PANEL_KINDS:
@@ -253,18 +253,18 @@ def _row_blocks(sketch, a: np.ndarray, leverage_p, y: Optional[np.ndarray]):
     else:
         apply = None
     if apply is not None:
-        yield np.hstack([apply(c) for c in (a,) + ys]) if ys else apply(a)
+        yield apply(a) if y is None else np.hstack((apply(a), apply(y)))
         return
     m = sketch.m
-    width = d + sum(c.shape[1] for c in ys)
+    width = d if y is None else d + y.shape[1]
     rows = min(m, PANEL_ROWS * math.ceil(max(PANEL_ROWS, width) / PANEL_ROWS))
     block = np.empty((rows, width))
     for i, panel in _panels(sketch, a.shape[0]):
         j = i % rows                # a block is whole panels, or all m rows
         end = j + panel.shape[0]
         np.matmul(panel, a, out=block[j:end, :d])
-        for c in ys:
-            np.matmul(panel, c, out=block[j:end, d:])
+        if y is not None:
+            np.matmul(panel, y, out=block[j:end, d:])
         if end == rows or i + panel.shape[0] == m:
             yield block[:end]
 
