@@ -288,7 +288,7 @@ def sketch_gram(sketch, a: np.ndarray, n: int, w: Optional[np.ndarray] = None,
     of G)`` rounded up to whole panels, or all m rows if fewer. Each full
     block is added into G by one symmetric rank-R product, and into H
     through ``block @ W``. Neither ``S A`` nor ``[A | y]`` is formed: the
-    block holds at most all m of its rows. Any other sketch forms ``S A``
+    block holds at most m x (d + k). Any other sketch forms ``S A``
     (and ``S y``) and reduces it once, its only block. The sums of block
     Grams differ from the Gram of the whole ``S A`` in the last bits.
 
