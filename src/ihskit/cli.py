@@ -23,6 +23,7 @@ import os
 import sys
 import tomllib
 import warnings
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -35,6 +36,9 @@ from .experiments import (
     FLAG_KEYWORDS,
     FULL_SCALE_OVERRIDES,
     flag_overrides,
+    gen_lowrank,
+    gen_sparse,
+    gen_unconstrained,
     run_experiment,
     summarize,
     write_rows,
@@ -234,38 +238,41 @@ def _add_options(options):
     return wrap
 
 
-def _build_problem(matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json, seed):
-    from .experiments import gen_lowrank, gen_sparse, gen_unconstrained
+# --generate family: its generator and the params it reads before sigma
+_GENERATORS = {
+    "unconstrained": (gen_unconstrained, ("n", "d")),
+    "sparse": (gen_sparse, ("n", "d", "s")),
+    "lowrank": (gen_lowrank, ("n", "d1", "d2", "r")),
+}
 
-    file_source = matrix is not None or rhs is not None
-    if file_source == (generate is not None):
+
+def _build_problem(p):
+    """The problem that a command's params ``p`` describe: read from
+    --matrix/--rhs or generated by --generate."""
+    file_source = p["matrix"] is not None or p["rhs"] is not None
+    if file_source == (p["generate"] is not None):
         raise click.UsageError("supply exactly one problem source: --matrix/--rhs or --generate")
+    constraint_json = p["constraint_json"]
     if file_source:
-        if matrix is None or rhs is None:
+        if p["matrix"] is None or p["rhs"] is None:
             raise click.UsageError("--matrix and --rhs must be given together")
-        a = _load_table(matrix)
-        y = _load_vector(rhs)
+        a = _load_table(p["matrix"])
+        y = _load_vector(p["rhs"])
         cset = constraint_from_json(constraint_json) if constraint_json else Unconstrained()
         return LsProblem(a, y, set=cset)
+    seed = p["seed"]
     if seed is None:
         raise click.UsageError("--seed is required when generating a random problem")
     if seed < 0:
         raise click.UsageError("--seed must be a non-negative integer")
-    if generate == "unconstrained":
-        if n is None or d is None:
-            raise click.UsageError("--generate unconstrained needs --n and --d")
-        prob = gen_unconstrained(n, d, sigma, (seed, 0))
-    elif generate == "sparse":
-        if n is None or d is None or s is None:
-            raise click.UsageError("--generate sparse needs --n, --d and --s")
-        prob = gen_sparse(n, d, s, sigma, (seed, 0))
-    else:
-        if n is None or d1 is None or d2 is None or r is None:
-            raise click.UsageError("--generate lowrank needs --n, --d1, --d2 and --r")
-        prob = gen_lowrank(n, d1, d2, r, sigma, (seed, 0))
+    gen, keys = _GENERATORS[p["generate"]]
+    if any(p[k] is None for k in keys):
+        flags = [f"--{k}" for k in keys]
+        raise click.UsageError(
+            f"--generate {p['generate']} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    prob = gen(*(p[k] for k in keys), p["sigma"], (seed, 0))
     if constraint_json:
-        from dataclasses import replace as dc_replace
-        prob = dc_replace(prob, set=constraint_from_json(constraint_json))
+        prob = replace(prob, set=constraint_from_json(constraint_json))
     return prob
 
 
@@ -335,9 +342,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
         raise click.UsageError("--method is required (exact, classical, hessian or ihs)")
     method = p["method"]
     with _reading_inputs():
-        problem = _build_problem(p["matrix"], p["rhs"], p["generate"], p["n"], p["d"], p["s"],
-                                 p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
-                                 p["seed"])
+        problem = _build_problem(p)
         ctl = SolverControls(tol=p["inner_tol"], max_iter=p["inner_max_iter"],
                              acceleration=not p["no_acceleration"])
         ref = _load_vector(p["reference"]) if p["reference"] else None
@@ -475,9 +480,7 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
     if p["m"] is None:
         raise click.UsageError("--m is required")
     with _reading_inputs():
-        problem = _build_problem(p["matrix"], p["rhs"], p["generate"], p["n"], p["d"], p["s"],
-                                 p["d1"], p["d2"], p["r"], p["sigma"], p["constraint_json"],
-                                 p["seed"])
+        problem = _build_problem(p)
         if not isinstance(problem.set, Unconstrained):
             raise click.UsageError(
                 "diagnose supports unconstrained problems only (certificates for constrained "

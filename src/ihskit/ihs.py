@@ -51,8 +51,10 @@ warm-started at x_t. ``IhsConfig.inner_schedule`` sets its tolerance:
   where the floor is the fixed tolerance below and the step is the last
   outer step ``x_{t-1} - x_{t-2}`` for t >= 2. Round 1 has no outer step
   yet and takes the projected gradient step from x0 on its own
-  quadratic, ``P_C(x0 - (G_1 x0 - c_1) / L) - x0`` with the inner
-  solver's ``L``, at the cost of one projection and one product with
+  quadratic, ``P_C(x0 - (G_1 x0 - c_1) / L) - x0``, through
+  :func:`~ihskit.subsolver.projected_step`, the step every inner
+  iteration takes, with the same ``L`` and the same cached
+  ``lambda_max(G_1)``. It costs one projection and one product with
   G_1. A solve of a single round keeps the floor, so that it is the
   Hessian sketch. The inner accuracy only keeps pace with the outer
   progress (Schmidt, Le Roux & Bach, NeurIPS 2011; the inexact
@@ -123,14 +125,14 @@ import scipy.linalg
 
 from .constraints import ConstraintSet, Unconstrained, ambient_dim
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
-from .linalg import ensure_matrix, ensure_vector, thin_svd, top_eigenvalue
+from .linalg import ensure_matrix, ensure_vector, thin_svd
 from .sketch import PANEL_KINDS, SketchOperator, SketchSpec, leverage_scores, sketch_gram
 from .sketch import build_sketch  # unused here, but perfbench's tracer wraps this name
 from .subsolver import (
     SketchedQuadratic,
     SolverControls,
-    lipschitz,
     project_iterate,
+    projected_step,
     solve_constrained,
 )
 
@@ -480,13 +482,6 @@ def _step_scale(problem: LsProblem, config: IhsConfig, fixed_operator: bool) -> 
     return (m - d) * (m - d - 3) / (m * (m - 1))
 
 
-def _first_step(q: SketchedQuadratic, x: np.ndarray, lam: float) -> np.ndarray:
-    """The projected gradient step from x on ``q`` with the inner
-    solver's step length: round 1's stand-in for the outer step that
-    later rounds track."""
-    return project_iterate(q.set, x - (q.G @ x - q.c) / lipschitz(lam)) - x
-
-
 def ihs_solve(
     problem: LsProblem,
     config: IhsConfig,
@@ -530,6 +525,7 @@ def ihs_solve(
 
     mu = _step_scale(problem, config, operator_factory is not None)
     unconstrained = isinstance(cset, Unconstrained)
+    tracking = not unconstrained and config.inner_schedule == "tracking" and config.rounds > 1
     want_certs = config.collect_certificates and ref is not None and unconstrained
     basis = _range_basis(a) if want_certs else None
 
@@ -571,15 +567,14 @@ def ihs_solve(
             if want_certs:
                 certs.append(_round_certificates(h, basis, ref - x, mu))
             q = SketchedQuadratic(None, gram @ x + mu * (a.T @ (y - a @ x) / n), cset, G=gram)
-            ctl, lam = config.inner, None
-            if not unconstrained:
-                lam = top_eigenvalue(q.G)
-                if config.inner_schedule == "tracking" and config.rounds > 1:
-                    step = xs[-1] - xs[-2] if t >= 2 else _first_step(q, x, lam)
-                    tol = TRACKING_FACTOR * math.sqrt(max(lam, 0.0)) * float(np.linalg.norm(step))
-                    if tol > ctl.resolve_tol(q.c):
-                        ctl = replace(ctl, tol=tol)
-            res = solve_constrained(q, x0=x, ctl=ctl, lam_max=lam)
+            ctl = config.inner
+            if tracking:
+                # round 1 tracks the projected gradient step from x instead
+                step = xs[-1] - xs[-2] if t >= 2 else projected_step(q, x, q.G @ x)[0] - x
+                tol = TRACKING_FACTOR * math.sqrt(max(q.lam_max, 0.0)) * float(np.linalg.norm(step))
+                if tol > ctl.resolve_tol(q.c):
+                    ctl = replace(ctl, tol=tol)
+            res = solve_constrained(q, x0=x, ctl=ctl)
             del h, gram, q      # free this round's Gram before taking the next
             x = res.x
             seconds.append(time.perf_counter() - tic)

@@ -19,11 +19,10 @@ A sketch is a random m x n matrix S normalized so that
   sampled with replacement from a probability vector p.
 
 :func:`build_sketch` realizes the operator, which for the two dense
-kinds holds all of the m x n matrix. A caller that needs only ``S A``
-calls :func:`sketch_product`, and one that needs only its Gram calls
-:func:`sketch_gram`. Both draw a dense sketch in panels of
-``PANEL_ROWS`` rows and never hold more than one panel of it, and
-``sketch_gram`` never holds ``S A`` either.
+kinds holds all of the m x n matrix. A caller that needs only the Gram
+of ``S A`` calls :func:`sketch_gram`, which draws a dense sketch in
+panels of ``PANEL_ROWS`` rows, never holds more than one panel of it,
+and never holds ``S A`` either.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .seeding import derive_rng
 
 KINDS = ("gaussian", "rademacher", "ros", "rowsample_uniform", "rowsample_leverage")
 
-# Kinds whose entries are i.i.d. draws, so that sketch_product and
-# sketch_gram can draw them a panel of rows at a time.
+# Kinds whose entries are i.i.d. draws, so that sketch_gram can draw
+# them a panel of rows at a time.
 PANEL_KINDS = ("gaussian", "rademacher")
 
 # Rows of a dense sketch drawn and multiplied at a time, 512 KiB of
@@ -218,28 +217,6 @@ def _panels(spec: SketchSpec, n: int):
         yield i, panel
 
 
-def sketch_product(spec: SketchSpec, a: np.ndarray, leverage_p=None) -> np.ndarray:
-    """``S A`` for the sketch S that ``build_sketch(spec, n, leverage_p)``
-    draws, with n the rows of A.
-
-    A Gaussian or Rademacher S is never held whole. Its rows are drawn a
-    panel at a time (:func:`_panels`), and each panel is multiplied into
-    its rows of the result as soon as it is drawn. The sketch then takes
-    one panel of memory, and a Rademacher draw one byte per entry of a
-    panel more for its unpacked bits.
-    Every other kind is drawn by ``build_sketch`` and applied.
-
-    ``a`` is trusted to be a float64 C-order matrix that
-    :func:`~ihskit.linalg.ensure_matrix` has checked.
-    """
-    if spec.kind not in PANEL_KINDS:
-        return build_sketch(spec, a.shape[0], leverage_p=leverage_p)._apply(a)
-    out = np.empty((spec.m, a.shape[1]))
-    for i, panel in _panels(spec, a.shape[0]):
-        np.matmul(panel, a, out=out[i : i + panel.shape[0]])
-    return out
-
-
 def _row_blocks(sketch, a: np.ndarray, leverage_p, y: Optional[np.ndarray]):
     """``S A``, or ``S [A | y]`` given y, in blocks of consecutive rows, for
     :func:`sketch_gram`. A and y are sketched apart, by the same draws, and
@@ -283,7 +260,7 @@ def sketch_gram(sketch, a: np.ndarray, n: int, w: Optional[np.ndarray] = None,
     ``1/2n`` scaling, which on a block problem exceeds the rows of A.
 
     A Gaussian or Rademacher spec is drawn in panels of ``PANEL_ROWS``
-    rows, the same numbers as :func:`sketch_product` draws, whose products
+    rows, the same numbers as ``build_sketch`` draws, whose products
     with A (and with y) fill a block of R rows: ``max(PANEL_ROWS, columns
     of G)`` rounded up to whole panels, or all m rows if fewer. Each full
     block is added into G by one symmetric rank-R product, and into H

@@ -15,8 +15,10 @@ values, so rounding noise in them, once the objective has converged to
 working precision, does not trip it. The objective need not decrease
 from one iterate to the next. The gradient
 step is 1/L with ``L = OPNORM_SAFETY * lambda_max(G)``, the top
-eigenvalue taken exactly from G (or handed in by a caller that has
-computed it already).
+eigenvalue taken exactly from G once, on first use, and cached on the
+quadratic. :func:`projected_step` is the one place that forms L, and
+the one projected-gradient step: the solver takes every step through
+it, and so does a caller that needs a step outside the solve.
 
 Each iteration costs one projection and one product with G, plus one
 of each per restart. The stopping test reads the gradient mapping at
@@ -33,7 +35,8 @@ solver trusts it from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +57,11 @@ class SketchedQuadratic:
     Either way it is checked here, once: a non-finite G raises
     :class:`NonFiniteError`. The solvers read only G, so a caller holding
     G may pass ``B=None`` and free B.
+
+    ``lam_max``, the top eigenvalue of G, is computed on first use and
+    cached, so that every projected-gradient step on one quadratic costs
+    one eigenvalue computation in all; a quadratic over
+    ``Unconstrained`` never computes it.
     """
 
     B: Optional[np.ndarray]
@@ -79,6 +87,10 @@ class SketchedQuadratic:
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * float(np.vdot(x, self.G @ x)) - float(np.vdot(self.c, x))
+
+    @cached_property
+    def lam_max(self) -> float:
+        return top_eigenvalue(self.G)
 
 
 @dataclass
@@ -134,30 +146,37 @@ class SubsolveResult:
     restarts: int = 0
 
 
-def lipschitz(lam_max: float) -> float:
-    """The gradient Lipschitz constant the solver steps with,
-    ``OPNORM_SAFETY * lam_max`` for ``lam_max = lambda_max(G)``, or 1
-    when G is zero."""
-    lip = OPNORM_SAFETY * lam_max
-    return lip if lip > 0.0 else 1.0
-
-
 def project_iterate(cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
     """Project a vector or a d x k iterate through its column-major flattening."""
     return project(cset, x.ravel(order="F")).reshape(x.shape, order="F")
+
+
+def projected_step(q: SketchedQuadratic, v: np.ndarray,
+                   gv: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The projected gradient step ``v_new = P_C(v - (G v - c) / L)`` on
+    ``q`` from v, given ``gv = G v``, and its gradient mapping
+    ``L ||v_new - v||``.
+
+    ``L = OPNORM_SAFETY * q.lam_max``, or 1 when G is zero; this is the
+    one place that forms it.
+    """
+    lip = OPNORM_SAFETY * q.lam_max
+    lip = lip if lip > 0.0 else 1.0
+    v_new = project_iterate(q.set, v - (gv - q.c) / lip)
+    return v_new, lip * float(np.linalg.norm(v_new - v))
 
 
 def solve_constrained(
     q: SketchedQuadratic,
     x0: Optional[np.ndarray] = None,
     ctl: Optional[SolverControls] = None,
-    lam_max: Optional[float] = None,
 ) -> SubsolveResult:
     """Minimize ``q`` over its constraint set.
 
     Over ``Unconstrained`` the result is the exact minimizer
-    ``G^-1 c``, with 0 iterations, and ``x0``, ``ctl`` and ``lam_max``
-    are not read. A singular G raises :class:`RankDeficiencyError`.
+    ``G^-1 c``, with 0 iterations; ``x0`` and ``ctl`` are not read, and
+    ``q.lam_max`` is not computed. A singular G raises
+    :class:`RankDeficiencyError`.
 
     Over any other set projected gradient starts from the projection of
     ``x0`` (zero if omitted), keeps every iterate feasible, and stops
@@ -167,9 +186,9 @@ def solve_constrained(
     ``L ||x_new - P_C(x_new - grad g(x_new)/L)||`` is then at most twice
     the tolerance. Without acceleration z is the previous iterate. An
     iteration costs one projection and one product with G, and a
-    momentum restart one more of each. ``lam_max`` is
-    ``lambda_max(q.G)`` when the caller has it already; otherwise it is
-    computed here.
+    momentum restart one more of each. The steps are
+    :func:`projected_step`'s, with L from ``q.lam_max``: computed on the
+    first step unless a caller has read it already.
     """
     if isinstance(q.set, Unconstrained):
         try:
@@ -181,14 +200,12 @@ def solve_constrained(
     ctl = ctl or SolverControls()
     gram = q.G
     tol = ctl.resolve_tol(q.c)
-    if lam_max is None:
-        lam_max = top_eigenvalue(gram)
-    lip = lipschitz(lam_max)
 
     def step_from(v, gv):
-        """The projected gradient step from v and its product with G."""
-        v_new = project_iterate(q.set, v - (gv - q.c) / lip)
-        return v_new, gram @ v_new
+        """The projected gradient step from v, its product with G and the
+        gradient mapping at v; that at the new point is at most twice it."""
+        v_new, grad_map = projected_step(q, v, gv)
+        return v_new, gram @ v_new, grad_map
 
     # x is the last accepted iterate and z the point the next step is
     # taken from; gx = G x and gz = G z ride along, so that an iteration
@@ -200,16 +217,14 @@ def solve_constrained(
     grad_map = np.inf
     iterations = restarts = 0
     for iterations in range(1, ctl.max_iter + 1):
-        x_new, g_new = step_from(z, gz)
+        x_new, g_new, grad_map = step_from(z, gz)
         if np.vdot(z - x_new, x_new - x) > 0.0:
             # the momentum points against the step's gradient mapping:
             # restart from the last accepted iterate. A step from x
             # itself gives -||x_new - x||^2 here and never restarts.
             restarts += 1
             z, gz, tk = x, gx, 1.0
-            x_new, g_new = step_from(z, gz)
-        # the gradient mapping at z; that at x_new is at most twice it
-        grad_map = lip * float(np.linalg.norm(x_new - z))
+            x_new, g_new, grad_map = step_from(z, gz)
         beta = 0.0
         if ctl.acceleration:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))

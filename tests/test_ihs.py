@@ -313,7 +313,7 @@ def _serial_ihs(prob, config):
             x = solve_psd(gram, c)
         else:
             x = solve_constrained(SketchedQuadratic(None, c, prob.set, G=gram), x0=x,
-                                  ctl=config.inner, lam_max=top_eigenvalue(gram)).x
+                                  ctl=config.inner).x
         xs.append(x)
     return xs
 
@@ -875,12 +875,13 @@ class TestInnerSchedule:
         first = []
         real = ihs_mod.solve_constrained
 
-        def spy(q, x0=None, ctl=None, lam_max=None):
+        def spy(q, x0=None, ctl=None):
             if not seen:    # round 1: the tracking tolerance of its first step
+                lam_max = top_eigenvalue(q.G)
                 step = project_iterate(q.set, x0 - (q.G @ x0 - q.c) / (OPNORM_SAFETY * lam_max))
                 first.append(ihs_mod.TRACKING_FACTOR * math.sqrt(lam_max)
                              * float(np.linalg.norm(step - x0)))
-            res = real(q, x0=x0, ctl=ctl, lam_max=lam_max)
+            res = real(q, x0=x0, ctl=ctl)
             seen.append((ctl.resolve_tol(q.c), floor_ctl.resolve_tol(q.c), res))
             return res
 
@@ -895,6 +896,38 @@ class TestInnerSchedule:
             assert given >= floor
             assert res.converged and res.grad_map_norm <= given
             assert res.iterations == iters
+
+    @staticmethod
+    def _count_lambda_max(monkeypatch):
+        import ihskit.subsolver as subsolver_mod
+
+        calls = []
+        real = subsolver_mod.top_eigenvalue
+        monkeypatch.setattr(subsolver_mod, "top_eigenvalue",
+                            lambda g: calls.append(g.shape) or real(g))
+        return calls
+
+    @pytest.mark.parametrize("schedule", ["tracking", "fixed"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lambda_max_once_per_constrained_solve(self, case, schedule, monkeypatch):
+        # tracking reads lambda_max for round 1's tolerance and its first
+        # step, and the inner solve steps with it: one computation a round
+        make, m, _ = self.CASES[case]
+        prob = make()
+        calls = self._count_lambda_max(monkeypatch)
+        rep = self._run(prob, m, 4, schedule)
+        assert rep.all_converged and len(calls) == 4
+        calls.clear()
+        solve_exact(prob)
+        assert len(calls) == 1
+
+    def test_lambda_max_never_computed_unconstrained(self, monkeypatch):
+        prob = gen_unconstrained(600, 10, 1.0, 97)
+        calls = self._count_lambda_max(monkeypatch)
+        for schedule in ("tracking", "fixed"):
+            assert self._run(prob, 60, 4, schedule).all_converged
+        solve_exact(prob)
+        assert calls == []
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_round_one_takes_fewer_inner_iterations(self, case):

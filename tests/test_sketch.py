@@ -22,8 +22,9 @@ from ihskit.sketch import (
     explicit_sketch,
     identity_sketch,
     leverage_scores,
+    _panels,
+    _row_blocks,
     sketch_gram,
-    sketch_product,
     verify_projection_condition,
 )
 from ihskit.subsolver import SolverControls
@@ -80,12 +81,22 @@ def test_gaussian_entry_mean_monte_carlo():
 PANEL_SHAPES = [(2 * PANEL_ROWS + 5, 70), (1, 40), (PANEL_ROWS + 3, 1)]
 
 
+def _drawn_panels(spec, n):
+    """Every panel ``_panels`` draws, stacked; each is copied before the
+    next overwrites it."""
+    return np.vstack([panel.copy() for _, panel in _panels(spec, n)])
+
+
+def _sketch_product(spec, a, leverage_p=None):
+    """``S A`` as the blocks that ``sketch_gram`` reduces, stacked."""
+    return np.vstack([b.copy() for b in _row_blocks(spec, a, leverage_p, None)])
+
+
 @pytest.mark.parametrize("kind", PANEL_KINDS)
 @pytest.mark.parametrize("m, n", PANEL_SHAPES)
 def test_panel_draws_equal_build_sketch(kind, m, n):
     spec = SketchSpec(kind, m, 61, stream=(2,))
-    # S I returns every panel's draws exactly
-    assert np.array_equal(sketch_product(spec, np.eye(n)), build_sketch(spec, n).matrix)
+    assert np.array_equal(_drawn_panels(spec, n), build_sketch(spec, n).matrix)
 
 
 # odd n, and m n not a multiple of the 32 bits of a word
@@ -94,7 +105,7 @@ def test_rademacher_entries_and_panels(m, n):
     spec = SketchSpec("rademacher", m, 79, stream=(n,))
     s = build_sketch(spec, n).matrix
     assert np.all(np.abs(s) == 1.0)
-    assert np.array_equal(sketch_product(spec, np.eye(n)), s)
+    assert np.array_equal(_drawn_panels(spec, n), s)
     # A = I makes one block of all m rows: G is S^T S / (n m) exactly
     b = s / np.sqrt(n * m)
     assert np.array_equal(sketch_gram(spec, np.eye(n), n)[0], b.T @ b)
@@ -116,7 +127,7 @@ def test_rademacher_signs_balanced():
 def test_panel_product_matches_apply(kind, m, n):
     spec = SketchSpec(kind, m, 67)
     a = rng.standard_normal((n, 24))
-    assert _rel_dev(sketch_product(spec, a), build_sketch(spec, n).apply(a)) <= 1e-13
+    assert _rel_dev(_sketch_product(spec, a), build_sketch(spec, n).apply(a)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", [k for k in KINDS if k not in PANEL_KINDS])
@@ -124,14 +135,14 @@ def test_sketch_product_of_other_kinds_applies_the_operator(kind):
     a = rng.standard_normal((100, 3))
     lev = leverage_scores(a) if kind == "rowsample_leverage" else None
     spec = SketchSpec(kind, 30, 71)
-    assert np.array_equal(sketch_product(spec, a, leverage_p=lev),
+    assert np.array_equal(_sketch_product(spec, a, leverage_p=lev),
                           build_sketch(spec, 100, leverage_p=lev).apply(a))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_sketch_product_rejects_empty_source(kind):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        sketch_product(SketchSpec(kind, 3, 1), np.zeros((0, 2)))
+        sketch_gram(SketchSpec(kind, 3, 1), np.zeros((0, 2)), 1)
 
 
 # (m, rows of A, d): m = 1; m < PANEL_ROWS; m not a multiple of it over
