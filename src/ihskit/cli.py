@@ -69,12 +69,13 @@ class NonConvergence(Exception):
 
 def _default_threads() -> int:
     env = os.environ.get("IHSKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise click.UsageError(f"IHSKIT_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    try:
+        threads = int(env) if env else os.cpu_count() or 1
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise click.UsageError(f"IHSKIT_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _load_table(path) -> np.ndarray:

@@ -256,7 +256,7 @@ def _run_fig3(seed, d_grid=(16, 32, 64), n_factor=100, gamma=6, classical_budget
     points = []
     for d in d_grid:
         n = n_factor * d
-        nrounds = rounds or 1 + math.ceil(math.log2(math.sqrt(n / d)))
+        nrounds = 1 + math.ceil(math.log2(math.sqrt(n / d))) if rounds is None else rounds
         points.append(_Point(partial(gen_unconstrained, n, d, sigma), n, d,
                              math.ceil(gamma * d), nrounds, classical_budget * d))
     return _compare("fig3", seed, points, trials, kind, threads)
@@ -284,7 +284,8 @@ def _run_fig5(seed, d_grid=(32, 64, 128), gamma=4, rounds=4, trials=10,
 def _run_fig6a(seed, d1=20, d2=20, r=2, m=60, n_grid=(40, 80), rounds=None, trials=5,
                sigma=0.25, kind="gaussian", threads=1):
     points = [_Point(partial(gen_lowrank, n, d1, d2, r, sigma), n, d1 * d2, m,
-                     rounds or 1 + math.ceil(math.log(n)), flat_classical=True) for n in n_grid]
+                     1 + math.ceil(math.log(n)) if rounds is None else rounds,
+                     flat_classical=True) for n in n_grid]
     return _compare("fig6a", seed, points, trials, kind, threads)
 
 
@@ -354,16 +355,13 @@ def flag_overrides(exp_id: str, flags) -> dict:
     return out
 
 
-def run_experiment(exp_id: str, seed: int, out_path=None, threads: int = 1, **overrides):
-    """Run one figure-style experiment; optionally write the CSV.
+def run_experiment(exp_id: str, seed: int, threads: int = 1, **overrides):
+    """Run one figure-style experiment and return its rows.
 
-    Returns the row list. ``overrides`` are the runner keyword
-    arguments (grids, trial counts, sketch kind, ...).
+    ``overrides`` are the runner keyword arguments (grids, trial counts,
+    sketch kind, ...). :func:`write_rows` writes the rows as CSV.
     """
-    rows = _runner(exp_id)(seed, threads=threads, **overrides)
-    if out_path is not None:
-        write_rows(rows, out_path)
-    return rows
+    return _runner(exp_id)(seed, threads=threads, **overrides)
 
 
 def _fmt(value) -> str:

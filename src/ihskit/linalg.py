@@ -2,10 +2,10 @@
 
 Row-major float64 arrays throughout. Provides the normalized fast
 Walsh-Hadamard transform and a kernel that computes selected rows of
-it, a thin SVD wrapper, a positive-definite solver that names the
-failing pivot, the largest eigenvalue of a symmetric matrix, and a
-power-iteration estimate of ``lambda_max(B^T B)`` for when only the
-factor B is at hand.
+it, a thin SVD wrapper, a positive-definite solver (one LAPACK
+``dposv`` call, whose ``info`` names the failing pivot), the largest
+eigenvalue of a symmetric matrix, and a power-iteration estimate of
+``lambda_max(B^T B)`` for when only the factor B is at hand.
 """
 
 from __future__ import annotations
@@ -265,9 +265,11 @@ def thin_svd(a, check_finite: bool = True) -> SvdResult:
 def solve_psd(g, b, check_finite: bool = True) -> np.ndarray:
     """Solve ``G x = b`` for symmetric positive definite G via Cholesky.
 
-    ``b`` is a vector or a matrix of right-hand sides. Raises
+    ``b`` is a vector or a matrix of right-hand sides. One LAPACK
+    ``dposv`` call factors G from its lower triangle and solves; neither
+    G nor b is modified. Where G is not positive definite, raises
     :class:`SingularMatrixError` carrying the 0-based index of the first
-    non-positive pivot, as LAPACK ``potrf`` reports it.
+    non-positive pivot, read from that call's ``info``.
     ``check_finite=False`` trusts float64 arrays that the caller has
     checked already and skips their scan.
     """
@@ -280,17 +282,15 @@ def solve_psd(g, b, check_finite: bool = True) -> np.ndarray:
         raise DimensionError(f"G must be square, got {gm.shape}")
     if gm.shape[0] != bv.shape[0]:
         raise DimensionError(f"G is {gm.shape} but b has {bv.shape[0]} rows")
-    try:
-        low = np.linalg.cholesky(gm)
-    except np.linalg.LinAlgError as exc:
-        info = scipy.linalg.lapack.dpotrf(gm, lower=True)[1]
-        pivot = info - 1 if info > 0 else gm.shape[0] - 1
+    if not gm.size:     # f2py rejects an empty b
+        return np.zeros(bv.shape)
+    _, x, info = scipy.linalg.lapack.dposv(gm, bv, lower=1)
+    if info > 0:
         raise SingularMatrixError(
-            f"matrix is not positive definite (pivot {pivot} <= tolerance)", pivot=pivot
-        ) from exc
-    # the factor of a finite G is finite: scipy need not scan it again
-    z = scipy.linalg.solve_triangular(low, bv, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(low.T, z, lower=False, check_finite=False)
+            f"matrix is not positive definite (pivot {info - 1} <= tolerance)", pivot=info - 1)
+    if info:
+        raise np.linalg.LinAlgError(f"posv rejected argument {-info}")
+    return x
 
 
 def top_eigenvalue(g) -> float:

@@ -575,6 +575,27 @@ class TestExperiment:
         assert f"{flag[2:]}={value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exp_id, size", [("fig3", ["--d", "4"]), ("fig6a", ["--n", "40"])])
+    def test_zero_rounds_is_usage_error(self, tmp_path, capsys, exp_id, size):
+        out = tmp_path / "x.csv"
+        code = run(["experiment", "--id", exp_id, "--out", out, "--seed", "1",
+                    "--trials", "1", "--rounds", "0"] + size)
+        assert code == 1
+        assert "rounds must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_thread_variable_is_usage_error(self, tmp_path, capsys,
+                                                         monkeypatch, value):
+        monkeypatch.setenv("IHSKIT_THREADS", value)
+        out = tmp_path / "x.csv"
+        code = run(["experiment", "--id", "fig1", "--out", out, "--seed", "1",
+                    "--n", "100", "--trials", "1"])
+        assert code == 1
+        assert f"IHSKIT_THREADS must be a positive integer, got '{value}'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_id_lists_valid(self, tmp_path, capsys):
         code = run(["experiment", "--id", "fig9", "--out", tmp_path / "x.csv", "--seed", "1"])
         assert code == 1

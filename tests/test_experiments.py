@@ -223,3 +223,12 @@ def test_capped_solvers_flag_every_comparison_row(monkeypatch):
 def test_trial_and_thread_counts_below_one_rejected(kw):
     with pytest.raises(ValueError, match="must be >= 1"):
         run_experiment("fig1", seed=1, n_grid=(100,), **{"trials": 1, **kw})
+
+
+@pytest.mark.parametrize("exp_id, kw", [
+    ("fig3", {"d_grid": (4,), "n_factor": 20}),
+    ("fig6a", {"d1": 4, "d2": 4, "r": 1, "m": 10, "n_grid": (20,)}),
+])
+def test_zero_rounds_rejected_where_the_default_is_computed(exp_id, kw):
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        run_experiment(exp_id, seed=1, trials=1, rounds=0, **kw)

@@ -261,6 +261,43 @@ class TestSolvePsd:
                 solve_psd(g, np.ones(g.shape[0]))
             assert exc.value.pivot == pivot
 
+    def test_one_posv_call_per_solve_and_no_numpy_cholesky(self, monkeypatch):
+        calls, real = [], scipy.linalg.lapack.dposv
+        monkeypatch.setattr(scipy.linalg.lapack, "dposv",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+
+        def no_cholesky(*_):
+            raise AssertionError("np.linalg.cholesky called")
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        solve_psd(2 * np.eye(3), np.ones(3))
+        assert len(calls) == 1
+        with pytest.raises(SingularMatrixError):
+            solve_psd(np.diag([1.0, 2.0, 0.0]), np.ones(3))
+        assert len(calls) == 2
+
+    def test_empty_system(self):
+        assert solve_psd(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert solve_psd(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+
+    def test_matrix_rhs_equals_column_solves(self):
+        m = rng.standard_normal((15, 6))
+        g = m.T @ m
+        b = rng.standard_normal((6, 4))
+        x = solve_psd(g, b)
+        assert x.shape == (6, 4)
+        for k in range(4):
+            np.testing.assert_allclose(x[:, k], solve_psd(g, b[:, k]), rtol=1e-14, atol=0)
+
+    def test_inputs_unmodified(self):
+        m = rng.standard_normal((9, 5))
+        for g in (m.T @ m, np.asfortranarray(m.T @ m)):
+            for b in (rng.standard_normal(5), rng.standard_normal((5, 2)),
+                      np.asfortranarray(rng.standard_normal((5, 2)))):
+                g0, b0 = g.copy(), b.copy()
+                solve_psd(g, b)
+                solve_psd(g, b, check_finite=False)
+                assert np.array_equal(g, g0) and np.array_equal(b, b0)
+
 
 class TestTopEigenvalue:
     @pytest.mark.parametrize("d", [1, 12, 144])
