@@ -61,7 +61,9 @@ class Box:
         self.hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
         if self.lo.shape != self.hi.shape:
             raise DimensionError("box bounds must have matching shapes")
-        if np.any(self.lo > self.hi):
+        if self.lo.ndim > 1:    # bounds broadcast as they are: 2-D ones give a 2-D projection
+            raise DimensionError("box bounds must be scalars or vectors")
+        if not np.all(self.lo <= self.hi):   # a NaN bound compares false too
             raise ValueError("box requires lo <= hi coordinatewise")
 
     def __eq__(self, other):
@@ -72,11 +74,9 @@ class Box:
         return f"Box(lo={self.lo!r}, hi={self.hi!r})"
 
     def bounds_for(self, dim: int):
-        if self.lo.size == dim:
-            return self.lo, self.hi
-        if self.lo.size == 1:
-            return np.full(dim, self.lo.item()), np.full(dim, self.hi.item())
-        raise DimensionError(f"box bounds have size {self.lo.size}, vector has {dim}")
+        if self.lo.size not in (1, dim):
+            raise DimensionError(f"box bounds have size {self.lo.size}, vector has {dim}")
+        return self.lo, self.hi
 
 
 ConstraintSet = Union[Unconstrained, L1Ball, NuclearBall, Simplex, Box]

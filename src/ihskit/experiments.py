@@ -193,8 +193,7 @@ def _compare(exp, seed, points, trials, kind, threads):
             x_ls = exact.x
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, p.rounds, inner_schedule="fixed"),
-                                  reference=x_ls))
+                lambda: ihs_solve(prob, IhsConfig(spec, p.rounds, inner_schedule="fixed")))
             # fig6a sketches the full stacked problem: a block sketch of
             # rounds * m rows would be nearly exact there, as rounds * m >> n
             cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
@@ -222,8 +221,7 @@ def _trace(exp, seed, points, trials, kind, step, threads):
             x_ls = solve_exact(prob).x
             spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
             report, sec = _timed(lambda: ihs_solve(
-                prob, IhsConfig(spec, p.rounds, step=step, inner_schedule="fixed"),
-                reference=x_ls))
+                prob, IhsConfig(spec, p.rounds, step=step, inner_schedule="fixed")))
             converged = [True] + report.round_converged
             return [_row(exp, t, p.n, p.d, "ihs", it, prob, x, x_ls, sec / p.rounds if it else 0.0,
                          p.tag if converged[it] else p.tag + ";nonconverged")

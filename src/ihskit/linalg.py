@@ -301,9 +301,11 @@ def top_eigenvalue(g) -> float:
     spectrum. It is called through ``scipy.linalg.lapack`` with its
     queried workspace, as ``scipy.linalg.eigh`` calls it and with the
     same bits, without the wrapper that cost more than the call at small
-    d (23 -> 9 us at d = 12). G is not scanned for non-finite entries:
-    its callers hand in the Gram matrix that
-    :class:`ihskit.subsolver.SketchedQuadratic` has checked already.
+    d (23 -> 9 us at d = 12). Only the lower triangle of G is read. G is
+    not scanned for non-finite entries: its callers hand in the Gram
+    matrix that :class:`ihskit.subsolver.SketchedQuadratic` has checked
+    already, or the sum of projectors of finite draws that
+    :func:`ihskit.sketch.verify_projection_condition` accumulates.
     """
     gm = np.asarray(g, dtype=float)
     if gm.shape[0] != gm.shape[1]:

@@ -14,7 +14,8 @@ A sketch is a random m x n matrix S normalized so that
   columns at a time, each of about 1 MiB once padded, so its working
   memory beside ``S A`` does not grow with A's column count, where a
   transform of all columns at once held two padded copies of A;
-  ``materialize`` forms the full transform;
+  ``materialize`` transforms the m sampled unit columns, an n_pad x m
+  array, as H is symmetric;
 * ``rowsample_uniform`` / ``rowsample_leverage`` - rows e_j / sqrt(p_j)
   sampled with replacement from a probability vector p.
 
@@ -33,9 +34,11 @@ from numbers import Integral
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, MissingHintError, RankDeficiencyError
-from .linalg import ensure_matrix, ensure_vector, fwht_normalized, hadamard_rows, thin_svd
+from .linalg import (ensure_matrix, ensure_vector, fwht_normalized, hadamard_rows, thin_svd,
+                     top_eigenvalue)
 from .seeding import derive_rng
 
 KINDS = ("gaussian", "rademacher", "ros", "rowsample_uniform", "rowsample_leverage")
@@ -128,8 +131,11 @@ class SketchOperator:
         if self.matrix is not None:
             return self.matrix
         if self.kind == "ros":
-            hd = fwht_normalized(np.diag(self.signs.astype(np.float64)))
-            return np.sqrt(self.n_pad) * hd[self.indices, : self.n]
+            # H is symmetric, so row i of H D is (H e_i)^T D: transform
+            # the m sampled unit columns, not all n_pad of them
+            units = np.zeros((self.n_pad, self.m))
+            units[self.indices, np.arange(self.m)] = 1.0
+            return np.sqrt(self.n_pad) * (fwht_normalized(units)[: self.n].T * self.signs[: self.n])
         s = np.zeros((self.m, self.n))
         s[np.arange(self.m), self.indices] = 1.0 / np.sqrt(self.probs[self.indices])
         return s
@@ -326,37 +332,33 @@ def verify_projection_condition(
 ):
     """Monte Carlo estimate of the projection-condition constant.
 
-    Draws ``trials`` independent operators, averages the orthogonal
-    projectors ``S^T (S S^T)^- S`` with compensated (Kahan) summation,
-    and returns ``eta_hat = (n/m) * ||mean||_op``. Draws with singular
-    ``S S^T`` (e.g. duplicated sample rows) are pseudo-inverted and
-    counted, not rejected.
+    Draws ``trials`` independent operators, sums the orthogonal
+    projectors ``S^T (S S^T)^- S`` and returns ``eta_hat = (n/m)
+    lambda_max(sum) / trials``. A draw with an eigenvalue of ``S S^T`` at
+    or below ``lambda_max m eps`` (e.g. duplicated sample rows) is
+    singular: it is pseudo-inverted, dropping those eigenvalues, and
+    counted, not rejected. Each projector ``B B^T``, ``B = S^T V W^{-1/2}``
+    over the kept eigenpairs ``(W, V)`` of ``S S^T``, is added by one
+    symmetric rank-k update (BLAS ``syrk``) into the lower triangle of the
+    sum, the one n x n array held across trials, which
+    :func:`~ihskit.linalg.top_eigenvalue` reads. The sum is not
+    compensated: its rounding sits orders of magnitude below the sampling
+    error.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if spec.m > n:
         raise DimensionError(f"projection condition requires m <= n, got m={spec.m} > n={n}")
-    acc = np.zeros((n, n))
-    comp = np.zeros((n, n))
+    acc = np.zeros((n, n), order="F")     # F order: syrk updates it in place
     n_singular = 0
     for t in range(trials):
-        op = build_sketch(spec.for_round(t), n, leverage_p=leverage_p)
-        s = op.materialize()
-        g = s @ s.T
-        w, v = np.linalg.eigh(g)
-        tol = w[-1] * g.shape[0] * np.finfo(float).eps if w[-1] > 0 else 0.0
-        keep = w > tol
-        if not np.all(keep):
-            n_singular += 1
-        winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        proj = s.T @ (v * winv) @ (v.T @ s)
-        # Kahan step
-        y = proj - comp
-        tsum = acc + y
-        comp = (tsum - acc) - y
-        acc = tsum
-    mean = acc / trials
-    eta = (n / spec.m) * float(np.linalg.eigvalsh((mean + mean.T) / 2.0)[-1])
+        s = build_sketch(spec.for_round(t), n, leverage_p=leverage_p).materialize()
+        w, v = np.linalg.eigh(s @ s.T)
+        keep = w > w[-1] * spec.m * np.finfo(float).eps     # w[-1] > 0, as S != 0
+        n_singular += not np.all(keep)
+        b = s.T @ (v[:, keep] / np.sqrt(w[keep]))
+        acc = scipy.linalg.blas.dsyrk(1.0, b.T, beta=1.0, c=acc, trans=1, lower=1, overwrite_c=1)
+    eta = (n / spec.m) * top_eigenvalue(acc) / trials
     if return_details:
         return eta, {"trials": trials, "singular_draws": n_singular}
     return eta

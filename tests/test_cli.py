@@ -677,6 +677,14 @@ class TestProject:
         out = [float(t) for t in capsys.readouterr().out.split()]
         assert out == pytest.approx([1.0, -1.0, 0.5])
 
+    def test_nan_box_bound_is_usage_error(self, tmp_path, capsys):
+        v = tmp_path / "v.csv"
+        v.write_text("2\n-3\n0.5\n")
+        code = run(["project", "--constraint", '{"type": "box", "lo": NaN}', "--vector", v])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "lo <= hi" in captured.err and captured.out == ""
+
     def test_simplex_projection_to_file(self, tmp_path):
         v = tmp_path / "v.csv"
         v.write_text("0.4\n0.4\n")

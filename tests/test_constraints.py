@@ -107,6 +107,33 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(1.0, -1.0)
 
+    def test_nan_bound_rejected(self):
+        # lo > hi is false for a NaN bound, which would project to NaN
+        for lo, hi in ((np.nan, 1.0), (-1.0, np.nan), ([0.0, np.nan], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                Box(lo, hi)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            constraint_from_json('{"type": "box", "lo": NaN}')
+
+    def test_matrix_bounds_rejected(self):
+        # a bound of shape (1, 1) or (1, d) would project to shape (1, d)
+        for lo, hi in (([[0.0]], [[1.0]]), ([[0.0, 1.0]], [[1.0, 2.0]])):
+            with pytest.raises(DimensionError, match="scalars or vectors"):
+                Box(lo, hi)
+
+    def test_half_bounded_box(self):
+        box = Box(-np.inf, 0.0)
+        assert np.array_equal(project(box, [-5.0, 2.0]), [-5.0, 0.0])
+        assert contains(box, [-1e300, 0.0]) and not contains(box, [1.0])
+
+    def test_scalar_bounds_match_full_bounds_bit_for_bit(self):
+        x = np.random.default_rng(7).standard_normal(257) * 3
+        lo, hi = -1.0 / 3, 0.7
+        got = project(Box(lo, hi), x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.clip(x, np.full(257, lo), np.full(257, hi)))
+        assert contains(Box(lo, hi), got) and not contains(Box(lo, hi), x)
+
 
 class TestNuclearBall:
     def test_contains_diagonal(self):

@@ -215,6 +215,30 @@ def test_ros_fast_path_equals_materialized(n, d):
     assert np.max(np.abs(fast - dense)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 2049])
+def test_ros_materialize_equals_full_transform_rows(n):
+    # the reference transforms all n_pad columns of D and keeps m rows;
+    # the signs are drawn before the indices, so the draws share them
+    ops = [build_sketch(SketchSpec("ros", m, 41, stream=(n,)), n) for m in (1, 7, 64)]
+    full = fwht_normalized(np.diag(ops[0].signs.astype(np.float64)))
+    for op in ops:
+        assert np.array_equal(op.signs, ops[0].signs)
+        assert np.array_equal(op.materialize(), np.sqrt(op.n_pad) * full[op.indices, :n])
+
+
+def test_ros_materialize_holds_no_padded_square():
+    # n = 2049 pads to 4096: the full transform would hold 128 MiB arrays
+    op = build_sketch(SketchSpec("ros", 64, 43), 2049)
+    tracemalloc.start()
+    try:
+        s = op.materialize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (64, 2049)
+    assert peak < 16 * 2**20
+
+
 # a stream of its own, so that these tests leave the draws of the others as they were
 ros_rng = np.random.default_rng(2025)
 
@@ -418,6 +442,39 @@ class TestProjectionCondition:
             SketchSpec("rowsample_uniform", 6, 3), 8, trials=50, return_details=True)
         assert details["singular_draws"] > 0  # duplicate rows are common here
         assert np.isfinite(eta)
+
+
+class TestProjectionConditionOracle:
+    @staticmethod
+    def oracle(spec, n, trials):
+        # the mean of the projectors pinv(S) S onto the row spaces of S
+        mean = sum(np.linalg.pinv(s) @ s for s in (
+            build_sketch(spec.for_round(t), n).materialize() for t in range(trials))) / trials
+        return (n / spec.m) * np.linalg.eigvalsh(mean)[-1]
+
+    @pytest.mark.parametrize("kind, n, m, singular", [
+        ("gaussian", 24, 6, False), ("gaussian", 5, 5, False),
+        ("ros", 20, 6, True), ("ros", 16, 16, True),
+        ("rowsample_uniform", 12, 5, True), ("rowsample_uniform", 9, 9, True),
+    ])
+    def test_matches_pinv_oracle(self, kind, n, m, singular):
+        spec = SketchSpec(kind, m, 61)
+        eta, details = verify_projection_condition(spec, n, trials=300, return_details=True)
+        # the row-sampling kinds draw repeated rows in some trials
+        assert (details["singular_draws"] > 0) == singular
+        assert eta == pytest.approx(self.oracle(spec, n, 300), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "rowsample_uniform"])
+    def test_holds_one_square_accumulator(self, kind):
+        # the sum and top_eigenvalue's copy of it: two n x n arrays
+        n = 1024
+        tracemalloc.start()
+        try:
+            verify_projection_condition(SketchSpec(kind, 64, 67), n, trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
 
 def test_explicit_sketch_wraps_matrix():
