@@ -264,8 +264,6 @@ def _build_problem(p):
     seed = p["seed"]
     if seed is None:
         raise click.UsageError("--seed is required when generating a random problem")
-    if seed < 0:
-        raise click.UsageError("--seed must be a non-negative integer")
     gen, keys = _GENERATORS[p["generate"]]
     if any(p[k] is None for k in keys):
         flags = [f"--{k}" for k in keys]
@@ -280,8 +278,6 @@ def _build_problem(p):
 def _sketch_spec(kind, m, seed, what="sketch"):
     if seed is None:
         raise click.UsageError(f"--seed is required for a randomized {what}")
-    if seed < 0:
-        raise click.UsageError("--seed must be a non-negative integer")
     return SketchSpec(kind, m, seed)
 
 
@@ -313,13 +309,13 @@ def _recommended_m(problem, p) -> int:
               show_default=True, help="Target contraction used when --m is derived automatically.")
 @click.option("--c0", type=float, default=1.5, show_default=True,
               help="Width constant used when --m is derived automatically.")
-@click.option("--seed", type=int, default=None, help="Master seed (required when random).")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Master seed (required when random).")
 @click.option("--inner-tol", type=float, default=None,
               help="Gradient-mapping tolerance of the inner solver; for ihs, the floor "
                    "under each constrained round's tolerance, which tracks the outer step.")
 @click.option("--inner-max-iter", type=int, default=5000, show_default=True,
               help="Iteration cap of the inner solver.")
-@click.option("--no-acceleration", is_flag=True, help="Disable inner-solver momentum.")
 @click.option("--reference", type=click.Path(), default=None,
               help="CSV vector; prints the final error to it in the prediction seminorm.")
 @click.option("--certificates", is_flag=True,
@@ -335,7 +331,7 @@ def _recommended_m(problem, p) -> int:
 @click.pass_context
 def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json,
           method, kind, m, rounds, rho, c0, seed, inner_tol, inner_max_iter,
-          no_acceleration, reference, certificates, out_prefix, timings, config):
+          reference, certificates, out_prefix, timings, config):
     """Solve one least-squares problem with the chosen method."""
     _apply_config(ctx, config)
     p = ctx.params
@@ -344,8 +340,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
     method = p["method"]
     with _reading_inputs():
         problem = _build_problem(p)
-        ctl = SolverControls(tol=p["inner_tol"], max_iter=p["inner_max_iter"],
-                             acceleration=not p["no_acceleration"])
+        ctl = SolverControls(tol=p["inner_tol"], max_iter=p["inner_max_iter"])
         ref = _load_vector(p["reference"]) if p["reference"] else None
         if ref is not None and ref.shape[0] != problem.d:
             raise click.UsageError(f"{p['reference']}: the reference has {ref.shape[0]} "
@@ -426,7 +421,7 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
 @cli.command()
 @click.option("--id", "exp_id", default=None, help=f"One of: {', '.join(EXPERIMENT_IDS)}.")
 @click.option("--out", type=click.Path(), default=None, help="Output CSV path.")
-@click.option("--seed", type=int, default=None, help="Master seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed.")
 @click.option("--trials", type=int, default=None, help="Trials per grid point.")
 @click.option("--d", type=int, default=None, help="Override the problem dimension (grid).")
 @click.option("--n", type=int, default=None, help="Override the sample size (grid).")
@@ -449,8 +444,6 @@ def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, ki
     exp_id = p["exp_id"]
     if exp_id is None or p["out"] is None or p["seed"] is None:
         raise click.UsageError("--id, --out and --seed are required")
-    if p["seed"] < 0:
-        raise click.UsageError("--seed must be a non-negative integer")
     nthreads = p["threads"] if p["threads"] is not None else _default_threads()
     # The runners check their grids as they generate the problems, so the
     # whole run is input reading: trials turn numerical failures into rows.
@@ -469,7 +462,7 @@ def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, ki
               show_default=True)
 @click.option("--m", type=int, default=None, help="Sketch dimension per round.")
 @click.option("--rounds", type=int, default=6, show_default=True)
-@click.option("--seed", type=int, default=None, help="Master seed (required).")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (required).")
 @click.option("--out", type=click.Path(), default=None, help="Write the table as JSON.")
 @click.option("--config", type=click.Path(), default=None)
 @click.pass_context
@@ -506,7 +499,7 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
 @click.option("--n", type=int, default=None, help="Source dimension.")
 @click.option("--m", type=int, default=None, help="Sketch dimension.")
 @click.option("--trials", type=int, default=2000, show_default=True)
-@click.option("--seed", type=int, default=None, help="Master seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed.")
 @click.option("--matrix", type=click.Path(), default=None,
               help="Data matrix for leverage-score sampling probabilities.")
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")

@@ -2,8 +2,9 @@
 
 Matrix variables (nuclear-norm balls) are flattened column-major, so
 the vector solvers apply unchanged. The l1-ball and simplex projections
-are the exact O(n log n) sort-and-threshold algorithms; ties are broken
-by index order, which does not affect the (unique) projection.
+are the exact O(n log n) sort-and-threshold algorithm, which computes
+one threshold for both (:func:`_l1_threshold`); ties are broken by
+index order, which does not affect the (unique) projection.
 """
 
 from __future__ import annotations
@@ -83,8 +84,15 @@ ConstraintSet = Union[Unconstrained, L1Ball, NuclearBall, Simplex, Box]
 
 
 def _l1_threshold(u: np.ndarray, radius: float) -> float:
-    """The shrinkage level of the l1-ball projection, from the magnitudes
-    ``u`` sorted nonincreasing, whose sum exceeds the radius."""
+    """The shrinkage level theta of the projection onto ``{sum(z) = radius,
+    z >= 0}``, from the values ``u`` sorted nonincreasing: the projection
+    of u is ``max(u - theta, 0)``.
+
+    With u the magnitudes of a vector whose l1 norm exceeds the radius,
+    theta is positive and shrinks the vector onto the l1 ball. With u a
+    vector itself and radius 1, it is the simplex projection's threshold,
+    negative when the entries sum below 1 (Duchi, Shalev-Shwartz, Singer
+    & Chandra, ICML 2008)."""
     css = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
     rho = np.nonzero(u > (css - radius) / ks)[0][-1]
@@ -97,15 +105,6 @@ def _project_l1(x: np.ndarray, radius: float) -> np.ndarray:
         return x.copy()
     theta = _l1_threshold(np.sort(ax)[::-1], radius)
     return np.sign(x) * np.maximum(ax - theta, 0.0)
-
-
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - (css - 1.0) / ks > 0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
 
 
 def _check_nuclear_dim(cset: NuclearBall, size: int):
@@ -123,7 +122,7 @@ def project(cset: ConstraintSet, x) -> np.ndarray:
     if isinstance(cset, L1Ball):
         return _project_l1(xv, cset.radius)
     if isinstance(cset, Simplex):
-        return _project_simplex(xv)
+        return np.maximum(xv - _l1_threshold(np.sort(xv)[::-1], 1.0), 0.0)
     if isinstance(cset, Box):
         lo, hi = cset.bounds_for(xv.size)
         return np.clip(xv, lo, hi)
@@ -184,8 +183,9 @@ def constraint_from_json(text: str) -> ConstraintSet:
 
     Format: ``{"type": "...", ...}`` with types ``unconstrained``,
     ``l1`` (radius), ``nuclear`` (radius, d1, d2), ``simplex`` and
-    ``box`` (lo, hi as scalars or lists; default -1 and 1). Every
-    malformed descriptor raises ``ValueError``.
+    ``box`` (lo, hi as scalars or lists; default -1 and 1). Each type
+    has that one spelling, lowercase; any other is an unknown type.
+    Every malformed descriptor raises ``ValueError``.
     """
     try:
         obj = json.loads(text)
@@ -193,12 +193,12 @@ def constraint_from_json(text: str) -> ConstraintSet:
         raise ValueError(f"constraint descriptor is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("constraint descriptor must be an object with a 'type' key")
-    kind = str(obj["type"]).lower()
+    kind = obj["type"]
     if kind == "unconstrained":
         return Unconstrained()
-    if kind in ("l1", "l1ball", "l1_ball"):
+    if kind == "l1":
         return L1Ball(_field(obj, "l1", "radius", float))
-    if kind in ("nuclear", "nuclearball", "nuclear_ball"):
+    if kind == "nuclear":
         return NuclearBall(*(_field(obj, "nuclear", key, cast)
                              for key, cast in (("radius", float), ("d1", int), ("d2", int))))
     if kind == "simplex":
@@ -207,5 +207,5 @@ def constraint_from_json(text: str) -> ConstraintSet:
         obj = {"lo": -1.0, "hi": 1.0, **obj}
         return Box(*(_field(obj, "box", key, lambda v: np.asarray(v, dtype=np.float64))
                      for key in ("lo", "hi")))
-    raise ValueError(f"unknown constraint type {obj['type']!r}")
+    raise ValueError(f"unknown constraint type {kind!r}")
 

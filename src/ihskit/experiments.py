@@ -83,7 +83,7 @@ def gen_unconstrained(n: int, d: int, sigma: float, seed) -> LsProblem:
     x_star = rng.standard_normal(d)
     x_star /= np.linalg.norm(x_star)
     y = a @ x_star + sigma * rng.standard_normal(n)
-    return LsProblem(a, y, truth=x_star, sigma=sigma)
+    return LsProblem(a, y, truth=x_star)
 
 
 def gen_sparse(n: int, d: int, s: int, sigma: float, seed) -> LsProblem:
@@ -98,7 +98,7 @@ def gen_sparse(n: int, d: int, s: int, sigma: float, seed) -> LsProblem:
     x_star = np.zeros(d)
     x_star[support] = (2.0 * rng.integers(0, 2, size=s) - 1.0) / math.sqrt(s)
     y = a @ x_star + sigma * rng.standard_normal(n)
-    return LsProblem(a, y, set=L1Ball(float(np.abs(x_star).sum())), truth=x_star, sigma=sigma)
+    return LsProblem(a, y, set=L1Ball(float(np.abs(x_star).sum())), truth=x_star)
 
 
 def gen_lowrank(n: int, d1: int, d2: int, r: int, sigma: float, seed) -> LsProblem:
@@ -126,7 +126,6 @@ def gen_lowrank(n: int, d1: int, d2: int, r: int, sigma: float, seed) -> LsProbl
         y_mat.ravel(order="F"),
         set=NuclearBall(radius, d1, d2),
         truth=x_mat.ravel(order="F"),
-        sigma=sigma,
         sketch_blocks=d2,
     )
 

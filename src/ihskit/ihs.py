@@ -194,7 +194,6 @@ class LsProblem:
     y: np.ndarray
     set: ConstraintSet = field(default_factory=Unconstrained)
     truth: Optional[np.ndarray] = None
-    sigma: Optional[float] = None
     sketch_blocks: int = 1
 
     def __post_init__(self):

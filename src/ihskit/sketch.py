@@ -83,6 +83,8 @@ class SketchSpec:
             raise ValueError(f"sketch dimension m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"sketch dimension m must be >= 1, got {self.m}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"sketch seed must be a non-negative integer, got {self.seed!r}")
 
     def for_round(self, t: int) -> "SketchSpec":
         """Spec for round ``t``, an independent stream of the same seed."""

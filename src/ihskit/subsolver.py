@@ -5,10 +5,10 @@ The exact solve, the classical and Hessian sketches and every IHS
 round minimize such a quadratic and differ only in G and c, so
 :func:`solve_constrained` is the one inner solver of them all. Over
 ``Unconstrained`` it solves ``G x = c`` exactly by Cholesky; over any
-other set it runs projected gradient, by default with Nesterov momentum
-(FISTA, Beck & Teboulle 2009) and the gradient restart of O'Donoghue &
-Candes (Found. Comput. Math. 2015): a step from z to x_new is taken
-again from the last iterate x, with the momentum reset, whenever
+other set it runs projected gradient with Nesterov momentum (FISTA,
+Beck & Teboulle 2009) and the gradient restart of O'Donoghue & Candes
+(Found. Comput. Math. 2015): a step from z to x_new is taken again
+from the last iterate x, with the momentum reset, whenever
 ``<z - x_new, x_new - x> > 0``, that is, when the momentum points
 against the step's gradient mapping. The test reads no objective
 values, so rounding noise in them, once the objective has converged to
@@ -115,7 +115,6 @@ class SolverControls:
 
     tol: Optional[float] = None
     max_iter: int = 5000
-    acceleration: bool = True
 
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0:
@@ -184,9 +183,8 @@ def solve_constrained(
     ``L ||x_new - z||`` with ``x_new = P_C(z - grad g(z)/L)``, drops
     below the tolerance; it returns x_new, whose own gradient mapping
     ``L ||x_new - P_C(x_new - grad g(x_new)/L)||`` is then at most twice
-    the tolerance. Without acceleration z is the previous iterate. An
-    iteration costs one projection and one product with G, and a
-    momentum restart one more of each. The steps are
+    the tolerance. An iteration costs one projection and one product
+    with G, and a momentum restart one more of each. The steps are
     :func:`projected_step`'s, with L from ``q.lam_max``: computed on the
     first step unless a caller has read it already.
     """
@@ -225,11 +223,9 @@ def solve_constrained(
             restarts += 1
             z, gz, tk = x, gx, 1.0
             x_new, g_new, grad_map = step_from(z, gz)
-        beta = 0.0
-        if ctl.acceleration:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            beta = (tk - 1.0) / t_next
-            tk = t_next
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        beta = (tk - 1.0) / t_next
+        tk = t_next
         if beta == 0.0:
             z, gz = x_new, g_new
         else:

@@ -34,6 +34,15 @@ class TestSolve:
         # normal equations: [[2,1],[1,2]] x = (4,5)  ->  x = (1, 2)
         assert out == pytest.approx([1.0, 2.0])
 
+    def test_no_acceleration_flag_is_gone(self, capsys):
+        code = run(["solve", "--method", "ihs", "--generate", "sparse", "--n", "400",
+                    "--d", "20", "--s", "3", "--rounds", "2", "--seed", "3",
+                    "--no-acceleration"])
+        assert code == 1
+        assert "--no-acceleration" in capsys.readouterr().err
+        assert run(["solve", "--help"]) == 0
+        assert "acceleration" not in capsys.readouterr().out
+
     def test_l1_solution_writes_zeros_unsigned(self, monkeypatch, capsys):
         # the l1 projection leaves -0.0 in the entries it zeroes
         seen, real = [], cli_mod._fmt_vec
@@ -440,6 +449,26 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("I/O error: [Errno ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--method", "exact", "--generate", "unconstrained", "--n", "30", "--d", "3"],
+    ["experiment", "--id", "fig2", "--out", "fig2.csv"],
+    ["diagnose", "--generate", "unconstrained", "--n", "60", "--d", "3", "--m", "12"],
+    ["verify-condition", "--n", "16", "--m", "4"],
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, args, source):
+    if source == "flag":
+        args = args + ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("seed = -1\n")
+        args = args + ["--config", cfg]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "-1 is not in the range x>=0" in captured.err
+    assert captured.out == ""
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -228,8 +229,8 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("text, want", [
     ('{"type": "l1", "radius": 2}', L1Ball(2.0)),
-    ('{"type": "L1_Ball", "radius": "0.5"}', L1Ball(0.5)),
-    ('{"type": "nuclearball", "radius": 1, "d1": 2.0, "d2": true}', NuclearBall(1.0, 2, 1)),
+    ('{"type": "l1", "radius": "0.5"}', L1Ball(0.5)),
+    ('{"type": "nuclear", "radius": 1, "d1": 2.0, "d2": true}', NuclearBall(1.0, 2, 1)),
     ('{"type": "box"}', Box(-1.0, 1.0)),
     ('{"type": "box", "lo": [0, 1], "hi": [2, 3]}', Box([0.0, 1.0], [2.0, 3.0])),
     ('{"type": "box", "lo": "0", "hi": 4}', Box(0.0, 4.0)),
@@ -237,6 +238,14 @@ def test_json_round_trip():
 ])
 def test_valid_descriptors_parse(text, want):
     assert constraint_from_json(text) == want
+
+
+@pytest.mark.parametrize("kind", ["L1", "l1ball", "l1_ball", "nuclearball", "nuclear_ball",
+                                  "Simplex"])
+def test_only_documented_type_spellings_parse(kind):
+    text = json.dumps({"type": kind, "radius": 1.0, "d1": 2, "d2": 2})
+    with pytest.raises(ValueError, match=f"unknown constraint type '{kind}'"):
+        constraint_from_json(text)
 
 
 @pytest.mark.parametrize("text, message", [

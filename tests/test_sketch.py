@@ -41,6 +41,14 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="integer"):
             SketchSpec("gaussian", m, 1)
     assert SketchSpec("gaussian", np.int64(4), 1).m == 4
+    assert SketchSpec("gaussian", 4, np.int64(5)).seed == 5
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=repr)
+def test_spec_rejects_seed_that_is_not_a_nonnegative_integer(seed):
+    # 1.5 would draw seed 1's stream, and -1 would fail only at the first draw
+    with pytest.raises(ValueError, match="seed"):
+        SketchSpec("gaussian", 4, seed)
 
 
 def test_determinism_bit_identical():

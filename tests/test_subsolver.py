@@ -79,24 +79,13 @@ class TestConstrained:
         res = solve_constrained(SketchedQuadratic(b, c, cset))
         assert contains(cset, res.x, tol=1e-9)
 
-    def test_monotone_descent_plain_gradient(self):
-        b = rng.standard_normal((15, 4))
-        c = rng.standard_normal(4)
-        q = SketchedQuadratic(b, c, L1Ball(0.7))
-        values = []
-        for k in range(1, 40):
-            ctl = SolverControls(tol=1e-300, max_iter=k, acceleration=False)
-            values.append(q.value(solve_constrained(q, ctl=ctl).x))
-        diffs = np.diff(values)
-        assert np.all(diffs <= 1e-12)
-
     def test_accepted_iterates_monotone_with_acceleration(self):
         b = rng.standard_normal((15, 4))
         c = rng.standard_normal(4)
         q = SketchedQuadratic(b, c, L1Ball(0.7))
         values = []
         for k in range(1, 40):
-            ctl = SolverControls(tol=1e-300, max_iter=k, acceleration=True)
+            ctl = SolverControls(tol=1e-300, max_iter=k)
             values.append(q.value(solve_constrained(q, ctl=ctl).x))
         assert np.all(np.diff(values) <= 1e-12)
 
@@ -159,8 +148,7 @@ def _ill_conditioned(gen, n, d, decades=2):
 
 
 class TestIterationCost:
-    @pytest.mark.parametrize("acceleration", [True, False])
-    def test_one_projection_per_iteration_and_restart(self, monkeypatch, acceleration):
+    def test_one_projection_per_iteration_and_restart(self, monkeypatch):
         gen = np.random.default_rng(4401)
         b = _ill_conditioned(gen, 40, 12)
         truth = gen.standard_normal(12)
@@ -173,15 +161,11 @@ class TestIterationCost:
             return real(cset, x)
 
         monkeypatch.setattr(subsolver_mod, "project", counting)
-        res = solve_constrained(
-            q, ctl=SolverControls(tol=1e-9, max_iter=20000, acceleration=acceleration))
+        res = solve_constrained(q, ctl=SolverControls(tol=1e-9, max_iter=20000))
         assert res.converged and res.iterations > 10
         # the initial projection of x0, one per step, one per restart
         assert len(calls) == 1 + res.iterations + res.restarts
-        if acceleration:
-            assert res.restarts > 0
-        else:
-            assert res.restarts == 0
+        assert res.restarts > 0
 
     def test_no_restart_repeats_its_step_at_working_precision(self, monkeypatch):
         # From the minimizer the objective changes only by rounding, which
