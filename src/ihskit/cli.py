@@ -179,6 +179,8 @@ def _apply_config(ctx: click.Context, config_path) -> None:
 
     A key is an option's long flag name or its parameter name, with
     ``-`` read as ``_``: ``out`` or ``out_prefix`` for ``solve --out``.
+    An integer option takes a TOML integer only: ``seed = 2.0`` is
+    refused like ``--seed 2.0``, not truncated.
     """
     if not config_path:
         return
@@ -203,6 +205,11 @@ def _apply_config(ctx: click.Context, config_path) -> None:
                 raise click.UsageError(
                     f"config key {key!r} must be a string, number or boolean"
                     f"{' or an array of them' if param.multiple else ''}, got {val!r}")
+            # click's int() would truncate 1.5 to 1, where the command line
+            # refuses "1.5"; 2.0 and true are refused as "--seed 2.0" is
+            if isinstance(param.type, click.types.IntParamType) and not all(
+                    isinstance(v, int) and not isinstance(v, bool) for v in vals):
+                raise click.UsageError(f"config key {key!r} must be an integer, got {val!r}")
             ctx.params[param.name] = param.type_cast_value(
                 ctx, tuple(vals) if param.multiple else val)
 
@@ -527,10 +534,19 @@ def verify_condition(ctx, kind, n, m, trials, seed, matrix, out, config):
             spec, p["n"], p["trials"], leverage_p=lev, return_details=True)
     click.echo(f"eta_hat = {eta:.6f}  (kind={p['kind']}, n={p['n']}, m={p['m']}, "
                f"trials={p['trials']}, singular draws={details['singular_draws']})")
+    # The sum of `trials` projectors of rank <= m has a trace, the sum of
+    # their ranks, of at least its own rank, so its lambda_max >= 1 and
+    # eta_hat >= n / (trials m) for any sketch: above 1, that floor is
+    # the estimator's bias, not a property of the sketch.
+    floor = p["n"] / (p["trials"] * p["m"])
+    if floor > 1:
+        click.echo(f"warning: trials * m = {p['trials'] * p['m']} < n = {p['n']}, so "
+                   f"eta_hat >= n / (trials * m) = {floor:.6g} for any sketch (bias floor); "
+                   f"{-(-p['n'] // p['m'])} trials or more bring it to at most 1", err=True)
     if p["out"]:
         write_text_atomic(p["out"], json.dumps({
             "kind": p["kind"], "n": p["n"], "m": p["m"], "trials": p["trials"],
-            "eta_hat": eta, "singular_draws": details["singular_draws"],
+            "eta_hat": eta, "singular_draws": details["singular_draws"], "bias_floor": floor,
         }, indent=2) + "\n")
 
 

@@ -68,10 +68,11 @@ _LEAF_BITS = HADAMARD_LEAF.bit_length() - 1
 _FACTORS = {f: scipy.linalg.hadamard(f) / np.sqrt(f)
             for f in (1 << k for k in range(_LEAF_BITS + 1))}
 # Bytes of one panel of columns that hadamard_rows transforms at a time,
-# padded to whole blocks. On one BLAS thread half of it made a
-# 3000 x 128 apply (perfbench's lasso_ros) and a 2048 x 48 one about 20%
-# slower, and twice it raised the 3000 x 128 apply's peak from 3.4 to
-# 4.3 MB.
+# padded to whole blocks. At 3000 x 128, m = 888 (perfbench's lasso_ros)
+# it gives 4 panels of 32 columns. On one BLAS thread (medians over 12
+# draws of each draw's fastest of 9 calls) panels of 16, 24, 40 and 48
+# columns made that apply 11%, 13%, 9% and 1% slower, and 48 raised its
+# traced peak from 2.7 to 3.3 MiB.
 _PANEL_BYTES = 1 << 20
 
 
@@ -80,6 +81,19 @@ def _factor_sizes(n: int) -> list:
     k = n.bit_length() - 1
     parts = max(1, -(-k // _LEAF_BITS))
     return [1 << (k // parts + (i < k % parts)) for i in range(parts)]
+
+
+def _row_factors(n_pad: int) -> list:
+    """Factor sizes ``[f1, hi..., lo]`` of ``H_{n_pad}`` for
+    :func:`hadamard_rows`: ``lo = min(n_pad, 8)`` takes the lowest bits,
+    the outer ``f1`` half of the rest, rounded up but at most the leaf,
+    and ``hi`` the remaining bits split as evenly as :func:`_factor_sizes`
+    splits them. 4096 = 32 x 16 x 8 and 8192 = 32 x 32 x 8."""
+    k = n_pad.bit_length() - 1
+    lo = min(k, 3)
+    outer = min(_LEAF_BITS, -(-(k - lo) // 2))
+    rest = k - lo - outer
+    return [1 << outer, *(_factor_sizes(1 << rest) if rest else []), 1 << lo]
 
 
 def _as_columns(x):
@@ -136,34 +150,45 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
 
     Equals ``fwht_normalized(signs[:, None] * x_pad)[rows]`` up to
     rounding, for a vector or a matrix ``x`` of n <= ``n_pad`` rows,
-    ``n_pad`` a power of two and ``rows`` integers in ``[0, n_pad)``,
-    repeats allowed. Only what those rows need is computed. With
-    ``H = H_{f1} (x) H_blk`` (``blk = n_pad / f1``, row ``i = i1 blk + b``),
-    the inner factors ``H_blk`` transform only the ``nz = ceil(n / blk)``
-    leading blocks that hold data, and the outer factor ``H_{f1}`` only
-    the distinct sampled ``(j1, b)`` pairs: the pairs are grouped by
-    ``b``, each group padded with zero coefficients to the size ``s`` of
-    the largest (``s <= f1``), and all groups run as one batched matrix
-    product. For m rows of c columns spread over g groups this costs
-    about ``nz blk c (f2 + f3 + ...)`` multiply-adds for the inner
-    factors plus ``g s nz c <= n_pad nz c`` for the outer one, against
-    ``n_pad c (f1 + f2 + ...)`` for the full transform.
+    ``n_pad`` a power of two, any finite ``signs`` (a ROS sketch passes
+    its +-1 signs times ``sqrt(n_pad)``) and ``rows`` integers in
+    ``[0, n_pad)``, repeats allowed. Only what those rows need is
+    computed.
+
+    ``H = H_{f1} (x) H_hi (x) H_lo``, with the factor sizes that
+    :func:`_row_factors` gives (``hi`` may be several factors): 32 x 16
+    x 8 at ``n_pad = 4096``. Row ``i = i1 blk + b``, ``blk = n_pad /
+    f1``. The inner factors act within blocks of ``blk`` consecutive rows
+    and run only on the ``nz = ceil(n / blk)`` leading blocks that hold
+    data. D is folded into the first of them: each group of ``lo``
+    consecutive rows of x is multiplied by ``H_lo diag(its signs)``, one
+    batched product over a view of x, so x is read once, never copied
+    and never signed in a pass of its own. ``H_hi`` follows. The outer
+    factor runs only for the distinct sampled ``(i1, b)`` pairs: grouped
+    by b, the groups are taken in runs of ``f1`` consecutive ones, each
+    run padded with zero coefficients to its fullest group, so that one
+    overfull group pads only its own run, and each run is one batched
+    product. For c columns and ``T`` padded pairs this costs
+    ``nz blk c (lo + hi)`` multiply-adds for the inner factors plus
+    ``T nz c`` for the outer one, against ``n_pad c (f1 + hi + lo)`` for
+    the full transform: at 3000 x 128, m = 888, about 9.4 M plus 4.5 M
+    against 29 M.
 
     The transform is column-separable, so it runs on panels of ``w``
-    columns at a time: the widest that keep ``nz blk w`` floats within
-    ``_PANEL_BYTES``, but at least 8 (a 64-byte cache line of each row of
-    ``x``), evened out over the panels. The grouping is worked out once
-    per call, and two buffers are allocated once and reused for every
-    panel: the panel itself, and a scratch buffer that holds the signed
-    input of a few blocks at a time while the inner factors run on them
-    (those factors act within blocks) and then the outer stage's
-    products. Each panel's sampled rows go straight into its columns of
-    the ``m x c`` result. Beside that result and the ``g s nz`` outer
-    coefficients, a call holds ``(nz blk + max(g s + e, 2 blk)) w``
-    floats, ``e = g nz`` if some inner index is never sampled, else 0: a
-    transient that does not grow with c once ``c > w``, against
-    ``2 nz blk c`` for a transform of all columns at once. The input is
-    read once, a panel at a time, and never modified.
+    columns at a time: the widest multiple of 8 (a 64-byte cache line of
+    each row of x) that keeps ``nz blk w`` floats within
+    ``_PANEL_BYTES``, but at least 8, evened out over the panels. The
+    grouping and the ``(n / lo) lo^2`` signed factors are worked out
+    once per call, and two buffers are allocated once and reused for
+    every panel: the panel itself, and a scratch buffer that holds the
+    signed product of a few blocks at a time while ``H_hi`` runs on
+    them, then the outer stage's products, whose sampled rows are
+    gathered into the panel's columns of the ``m x c`` result. Beside
+    that result and the ``T nz`` outer coefficients, a call holds at most
+    ``n lo + (nz blk + max(T, 2 blk) + m) w`` floats and a few arrays of
+    m integers: a transient that does not grow with c once ``c > w``,
+    against ``2 nz blk c`` for a transform of all columns at once. The
+    input is never modified.
     """
     a, squeeze = _as_columns(x)
     dv = ensure_vector(signs, "signs")
@@ -178,58 +203,65 @@ def hadamard_rows(x, rows, signs) -> np.ndarray:
         raise DimensionError("rows must be a 1-D integer array")
     if idx.size and (idx.min() < 0 or idx.max() >= n_pad):
         raise DimensionError(f"rows must lie in [0, {n_pad})")
-    f1, *inner = _factor_sizes(n_pad)
+    f1, *hi, lo = _row_factors(n_pad)
     blk = n_pad // f1
     nz = -(-n // blk)
-    # Distinct pairs sorted by b, then j1; `slot` is each pair's row in
-    # the padded groups, `pick` each sample's.
-    j1, b = np.divmod(idx, blk)
-    pairs, inv = np.unique(b * f1 + j1, return_inverse=True)
-    pb, pj1 = np.divmod(pairs, f1)
-    counts = np.bincount(pb, minlength=blk)
-    occupied = np.flatnonzero(counts)
-    groups = occupied.size
-    size = max(1, int(counts.max()))
-    slot = (size * (np.cumsum(counts > 0) - 1) - (np.cumsum(counts) - counts))[pb] + np.arange(pairs.size)
-    coef = np.zeros((groups * size, nz))
-    coef[slot] = _FACTORS[f1][pj1, :nz]
-    coef = coef.reshape(groups, size, nz)
-    pick = slot[inv]
-    # Equal panels of at most the budget's width, but at least a 64-byte
-    # cache line of each row of A: narrower ones read A's rows again for
-    # little saving. The occupied groups are copied out only when some
-    # are empty, and `need` rows per column hold the outer stage.
     depth = nz * blk
-    panels = max(1, -(-cols // max(8, _PANEL_BYTES // (8 * max(1, depth)))))
-    w = max(1, -(-cols // panels))
-    gathered = groups * nz if groups < blk else 0
-    need = gathered + groups * size
-    # The inner factors act within blocks, so they run on `step` rows at
-    # a time in a scratch buffer (two for two or more factors) that the
-    # outer stage then reuses, as many blocks as fit in what it needs.
-    bufs = min(2, len(inner))
-    step = blk * max(1, min(nz, need // (bufs * blk))) if inner else max(1, depth)
-    # one allocation for both: glibc keeps freed memory for reuse up to
+    # The sampled pairs as a blk x f1 table, group b by outer index i1. In
+    # runs of f1 groups, each padded to its fullest, `slots` gives each
+    # pair's row: one run after another, one group after another, i1 in
+    # increasing order.
+    key = idx % blk * f1 + idx // blk
+    sampled = np.bincount(key, minlength=n_pad).reshape(blk, f1) > 0
+    size = np.count_nonzero(sampled, axis=1).reshape(-1, f1).max(axis=1)
+    start = np.concatenate(([0], np.cumsum(size * f1)))
+    first = start[:-1, None] + np.arange(f1) * size[:, None]     # each group's first row
+    slots = (np.cumsum(sampled, axis=1) - 1 + first.reshape(-1, 1)).ravel()
+    pairs = np.flatnonzero(sampled)
+    padded = int(start[-1])
+    coef = np.zeros((padded, nz))
+    coef[slots[pairs]] = _FACTORS[f1][pairs % f1, :nz]
+    pick = slots[key]
+    runs = [(g, int(s), int(p0)) for g, s, p0 in zip(range(0, blk, f1), size, start) if s]
+    # Equal panels of a whole number of 64-byte cache lines of each row
+    # of x, as wide as the budget allows.
+    panels = max(1, -(-cols // max(8, _PANEL_BYTES // (64 * max(1, depth)) * 8)))
+    w = max(1, min(cols, -(-cols // (8 * panels)) * 8))
+    # The factors after the signed one run on `step` rows at a time in the
+    # scratch buffer (two for two or more), as many blocks as fit in
+    # what the outer stage needs.
+    bufs = min(2, len(hi))
+    step = blk * max(1, min(nz, padded // (bufs * blk))) if hi else max(1, depth)
+    full = n // lo
+    # one allocation for all: glibc keeps freed memory for reuse up to
     # about twice the largest block freed, which this then is
-    work = np.empty((depth + max(need, bufs * step)) * w)
-    panel, scratch = work[: depth * w], work[depth * w:]
+    end = (depth + max(padded, bufs * step)) * w
+    work = np.empty(end + full * lo * lo)
+    panel, scratch, signed = work[: depth * w], work[depth * w:end], work[end:].reshape(full, lo, lo)
+    np.multiply(_FACTORS[lo], dv[: full * lo].reshape(full, 1, lo), out=signed)
     out = np.empty((idx.size, cols))
     for c0 in range(0, cols, w):
         k = min(w, cols - c0)
         for r0 in range(0, depth, step):
             h, e = min(step, depth - r0), min(r0 + step, n)
-            z = (scratch if inner else panel)[: h * k].reshape(h, k)
-            # einsum, unlike a broadcast multiply, stages nothing in a buffer
-            np.einsum("i,ij->ij", dv[r0:e], a[r0:e, c0:c0 + k], out=z[: e - r0])
-            z[e - r0:] = 0.0
-            _apply_factors(z, inner, h // blk, panel[r0 * k:(r0 + h) * k], scratch[h * k:2 * h * k])
-        z = panel[: depth * k].reshape(nz, blk, k)
-        if groups < blk:
-            z = np.take(z, occupied, axis=1, out=scratch[: gathered * k].reshape(nz, groups, k),
-                        mode="clip")
-        prod = np.matmul(coef, z.transpose(1, 0, 2),
-                         out=scratch[gathered * k:need * k].reshape(groups, size, k))
-        np.take(prod.reshape(-1, k), pick, axis=0, out=out[:, c0:c0 + k], mode="clip")
+            z = (scratch if hi else panel[r0 * k:])[: h * k].reshape(h, k)
+            g0, g1 = r0 // lo, e // lo
+            np.matmul(signed[g0:g1], a[r0:g1 * lo, c0:c0 + k].reshape(g1 - g0, lo, k),
+                      out=z[: (g1 - g0) * lo].reshape(g1 - g0, lo, k))
+            t = g1 * lo - r0
+            if t < e - r0:      # the last n % lo rows
+                np.matmul(_FACTORS[lo][:, : e - r0 - t] * dv[r0 + t:e], a[r0 + t:e, c0:c0 + k],
+                          out=z[t:t + lo])
+                t += lo
+            z[t:] = 0.0
+            if hi:
+                _apply_factors(z, hi, h // blk, panel[r0 * k:(r0 + h) * k], scratch[h * k:2 * h * k])
+        z = panel[: depth * k].reshape(nz, blk, k).transpose(1, 0, 2)
+        for g, s, p0 in runs:
+            np.matmul(coef[p0:p0 + f1 * s].reshape(f1, s, nz), z[g:g + f1],
+                      out=scratch[p0 * k:(p0 + f1 * s) * k].reshape(f1, s, k))
+        # np.take into a strided `out` would copy it in and out again
+        out[:, c0:c0 + k] = np.take(scratch[: padded * k].reshape(padded, k), pick, axis=0, mode="clip")
     return out[:, 0] if squeeze else out
 
 
@@ -293,7 +325,7 @@ def solve_psd(g, b, check_finite: bool = True) -> np.ndarray:
     return x
 
 
-def top_eigenvalue(g) -> float:
+def top_eigenvalue(g, overwrite_g: bool = False) -> float:
     """Largest eigenvalue of a finite symmetric matrix.
 
     LAPACK ``syevr`` computes that one eigenvalue alone. On one BLAS
@@ -306,6 +338,11 @@ def top_eigenvalue(g) -> float:
     matrix that :class:`ihskit.subsolver.SketchedQuadratic` has checked
     already, or the sum of projectors of finite draws that
     :func:`ihskit.sketch.verify_projection_condition` accumulates.
+
+    ``syevr`` destroys its input, so G is copied first, unless
+    ``overwrite_g`` hands over a Fortran-order float64 G to be destroyed
+    in place (any other G is still copied). At n = 2049 that copy is a
+    second 32 MiB beside the sum of projectors.
     """
     gm = np.asarray(g, dtype=float)
     if gm.shape[0] != gm.shape[1]:
@@ -313,7 +350,8 @@ def top_eigenvalue(g) -> float:
     d = gm.shape[0]
     lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(d, lower=1)
     w, _, _, _, info = scipy.linalg.lapack.dsyevr(gm, compute_v=0, range="I", il=d, iu=d, lower=1,
-                                                 lwork=int(lwork), liwork=liwork)
+                                                 lwork=int(lwork), liwork=liwork,
+                                                 overwrite_a=int(overwrite_g))
     if info:
         raise np.linalg.LinAlgError(f"syevr did not converge (info {info})")
     return float(w[0])

@@ -10,12 +10,16 @@ A sketch is a random m x n matrix S normalized so that
   j sampled uniformly with replacement (input rows are zero-padded to
   the next power of two). ``apply`` computes only the m sampled rows of
   the transform and never transforms the zero padding
-  (:func:`~ihskit.linalg.hadamard_rows`). It transforms A a panel of
-  columns at a time, each of about 1 MiB once padded, so its working
-  memory beside ``S A`` does not grow with A's column count, where a
-  transform of all columns at once held two padded copies of A;
-  ``materialize`` transforms the m sampled unit columns, an n_pad x m
-  array, as H is symmetric;
+  (:func:`~ihskit.linalg.hadamard_rows`): H is split into an outer
+  Hadamard factor and two or more inner ones (32 x 16 x 8 at
+  n_pad = 4096), the inner ones run on the blocks of A that hold data,
+  the first of them with D and the scale sqrt(n_pad) folded in, and the
+  outer one only for the sampled rows. It transforms A a panel of
+  columns at a time, a multiple of 8 columns of at most 1 MiB once
+  padded, so its working memory beside ``S A`` does not grow with A's
+  column count, where a transform of all columns at once held two
+  padded copies of A; ``materialize`` transforms the m sampled unit
+  columns, an n_pad x m array, as H is symmetric;
 * ``rowsample_uniform`` / ``rowsample_leverage`` - rows e_j / sqrt(p_j)
   sampled with replacement from a probability vector p.
 
@@ -121,9 +125,9 @@ class SketchOperator:
         if self.matrix is not None:
             return self.matrix @ am
         if self.kind == "ros":
-            rows = hadamard_rows(am, self.indices, self.signs)
-            rows *= np.sqrt(self.n_pad)
-            return rows
+            # sqrt(n_pad) rides on D, where hadamard_rows folds it into the
+            # first product; at n_pad = 4^k it is a power of two and exact
+            return hadamard_rows(am, self.indices, np.sqrt(self.n_pad) * self.signs)
         # row sampling
         scale = 1.0 / np.sqrt(self.probs[self.indices])
         return scale[:, None] * am[self.indices, :]
@@ -343,7 +347,8 @@ def verify_projection_condition(
     over the kept eigenpairs ``(W, V)`` of ``S S^T``, is added by one
     symmetric rank-k update (BLAS ``syrk``) into the lower triangle of the
     sum, the one n x n array held across trials, which
-    :func:`~ihskit.linalg.top_eigenvalue` reads. The sum is not
+    :func:`~ihskit.linalg.top_eigenvalue` then overwrites in place, with
+    no copy of it. The sum is not
     compensated: its rounding sits orders of magnitude below the sampling
     error.
     """
@@ -360,7 +365,7 @@ def verify_projection_condition(
         n_singular += not np.all(keep)
         b = s.T @ (v[:, keep] / np.sqrt(w[keep]))
         acc = scipy.linalg.blas.dsyrk(1.0, b.T, beta=1.0, c=acc, trans=1, lower=1, overwrite_c=1)
-    eta = (n / spec.m) * top_eigenvalue(acc) / trials
+    eta = (n / spec.m) * top_eigenvalue(acc, overwrite_g=True) / trials
     if return_details:
         return eta, {"trials": trials, "singular_draws": n_singular}
     return eta

@@ -552,6 +552,24 @@ class TestConfigFile:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    # an integer option takes a TOML integer only, as "--seed 2.0" is
+    # refused on the command line; click would truncate 1.5 to seed 1
+    @pytest.mark.parametrize("text, key, value", [
+        ("seed = 1.5\nn = 200\n", "seed", "1.5"),
+        ("seed = 1\nn = 200.7\n", "n", "200.7"),
+        ("seed = 2.0\nn = 200\n", "seed", "2.0"),
+        ("seed = true\nn = 200\n", "seed", "True"),
+    ], ids=["fractional_seed", "fractional_n", "integral_float_seed", "bool_seed"])
+    def test_non_integer_for_integer_option_is_usage_error(self, tmp_path, capsys, text, key, value):
+        cfg = tmp_path / "c.toml"
+        cfg.write_text(text)
+        code = run(["solve", "--method", "exact", "--generate", "unconstrained", "--d", "3",
+                    "--config", cfg])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"config key {key!r} must be an integer, got {value}" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = run(["solve", "--config", tmp_path / "nope.toml"])
         assert code == 3
@@ -672,6 +690,29 @@ class TestVerifyCondition:
         assert "eta_hat" in capsys.readouterr().out
         data = json.loads(out.read_text())
         assert 0.8 <= data["eta_hat"] <= 1.2
+
+    def test_bias_floor_is_warned_and_written(self, tmp_path, capsys):
+        # 5 trials of m = 4 at n = 64: the sum of projectors has rank at
+        # most 20, so eta_hat >= 64 / 20 = 3.2 whatever the sketch
+        out = tmp_path / "eta.json"
+        code = run(["verify-condition", "--kind", "gaussian", "--n", "64", "--m", "4",
+                    "--trials", "5", "--seed", "5", "--out", out])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("eta_hat = ") and captured.out.count("\n") == 1
+        assert "trials * m = 20 < n = 64" in captured.err
+        assert "eta_hat >= n / (trials * m) = 3.2 for any sketch (bias floor)" in captured.err
+        data = json.loads(out.read_text())
+        assert data["bias_floor"] == pytest.approx(3.2)
+        assert data["eta_hat"] >= 3.2 * (1 - 1e-12)
+
+    def test_no_bias_warning_once_trials_m_reaches_n(self, tmp_path, capsys):
+        out = tmp_path / "eta.json"
+        code = run(["verify-condition", "--kind", "gaussian", "--n", "16", "--m", "4",
+                    "--trials", "4", "--seed", "5", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["bias_floor"] == 1.0
 
     def test_leverage_matrix_with_nan_is_usage_error(self, tmp_path, capsys):
         a = tmp_path / "A.csv"

@@ -13,7 +13,7 @@ from ihskit.errors import (
 )
 from ihskit import linalg
 from ihskit.linalg import (
-    _factor_sizes,
+    _row_factors,
     ensure_matrix,
     ensure_vector,
     estimate_opnorm_sq,
@@ -96,15 +96,16 @@ panel_rng = np.random.default_rng(103)
 
 
 def _panel_width(n, n_pad):
-    """The widest panel of ``hadamard_rows`` at n rows: as many columns as
-    fit in the panel budget once padded to whole blocks, at least 8."""
-    blk = n_pad // _factor_sizes(n_pad)[0]
-    return max(8, linalg._PANEL_BYTES // (8 * blk * -(-n // blk)))
+    """The widest panel of ``hadamard_rows`` at n rows: the most columns, a
+    multiple of 8, that fit in the panel budget once padded to whole
+    blocks, at least 8."""
+    blk = n_pad // _row_factors(n_pad)[0]
+    return max(8, linalg._PANEL_BYTES // (64 * blk * -(-n // blk)) * 8)
 
 
 class TestHadamardRows:
-    # n_pad = 1, 2 and 64 take one Hadamard factor, 128 and 4096 two,
-    # 16384 three; 63, 65, 1000 and 8193 leave zero padding
+    # n_pad = 1 takes no nontrivial factor, 2 one, and 64, 128, 1024,
+    # 4096 and 16384 three; 63, 65, 1000 and 8193 leave zero padding
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 4096, 8193])
     def test_matches_padded_transform(self, n):
         n_pad = 1 << max(n - 1, 0).bit_length()
@@ -141,10 +142,10 @@ class TestHadamardRows:
             with pytest.raises(DimensionError):
                 hadamard_rows(x, rows, np.ones(8))
 
-    # n = 63, 3000 and 9000 take one, two and three Hadamard factors; with
-    # w the widest panel at that shape, w + 1 and 2w + 3 columns take two
-    # and three panels, and n // 30 sampled rows leave some inner indices
-    # unsampled at n = 3000 and 9000
+    # n = 63, 3000 and 9000 pad to 64 = 4 x 2 x 8, 4096 = 32 x 16 x 8 and
+    # 16384 = 64 x 32 x 8; with w the widest panel at that shape, w + 1
+    # and 2w + 3 columns take two and three panels, and n // 30 sampled
+    # rows leave some inner indices unsampled at n = 3000 and 9000
     @pytest.mark.parametrize("n", [63, 3000, 9000])
     @pytest.mark.parametrize("times,plus", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_matches_padded_transform_across_panels(self, n, times, plus):
@@ -155,10 +156,10 @@ class TestHadamardRows:
         assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
 
     def test_four_factors(self):
-        # 2^19 = 32 x 32 x 32 x 16: three inner factors alternate between
-        # the two scratch buffers before the last writes into the panel
+        # 2^19 = 64 x 32 x 32 x 8: the two middle factors go through the
+        # second scratch buffer before the last writes into the panel
         n = (1 << 18) + 1
-        assert len(_factor_sizes(1 << 19)) == 4
+        assert _row_factors(1 << 19) == [64, 32, 32, 8]
         signs = panel_rng.choice([-1.0, 1.0], size=1 << 19)
         x = panel_rng.standard_normal((n, 2))
         rows = panel_rng.integers(0, 1 << 19, size=500)
@@ -176,15 +177,103 @@ class TestHadamardRows:
         assert np.array_equal(big, before)
 
     def test_one_inner_group_and_one_sample_per_group_across_panels(self):
-        # 3000 rows pad to 4096 = 64 x 64: rows 5 + 64 j all share inner
-        # index 5, and with one sample per inner index the inner factors
-        # run on one block at a time
-        assert _factor_sizes(4096) == [64, 64]
+        # 3000 rows pad to 4096 = 32 x (16 x 8), blocks of 128 rows: rows
+        # 5 + 128 j all share inner index 5, so one run of groups holds
+        # every pair; with one sample per inner index every group holds
+        # one pair and the later factors run on one block at a time
+        assert _row_factors(4096) == [32, 16, 8]
         signs = panel_rng.choice([-1.0, 1.0], size=4096)
         x = panel_rng.standard_normal((3000, _panel_width(3000, 4096) + 1))
-        for rows in (5 + 64 * panel_rng.integers(0, 64, size=200),
-                     np.arange(64) + 64 * panel_rng.integers(0, 64, size=64)):
+        for rows in (5 + 128 * panel_rng.integers(0, 32, size=200),
+                     np.arange(128) + 128 * panel_rng.integers(0, 32, size=128)):
             assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
+
+    def test_row_factors(self):
+        # the split changes shape at n_pad = 2 (the low factor), 16 (an
+        # outer factor), 32 (a middle one), 16384 (the outer factor at the
+        # leaf) and 65536 (two middle factors)
+        assert _row_factors(1) == [1, 1]
+        assert _row_factors(2) == [1, 2]
+        assert _row_factors(8) == [1, 8]
+        assert _row_factors(16) == [2, 8]
+        assert _row_factors(32) == [2, 2, 8]
+        assert _row_factors(4096) == [32, 16, 8]
+        assert _row_factors(8192) == [32, 32, 8]
+        assert _row_factors(16384) == [64, 32, 8]
+        assert _row_factors(65536) == [64, 16, 8, 8]
+        for k in range(21):
+            assert np.prod(_row_factors(1 << k)) == 1 << k
+            assert max(_row_factors(1 << k)) <= linalg.HADAMARD_LEAF
+
+    @pytest.mark.parametrize("n_pad", [1, 2, 16, 32, 16384, 65536])
+    def test_matches_padded_transform_where_the_split_changes(self, n_pad):
+        signs = panel_rng.choice([-1.0, 1.0], size=n_pad)
+        for n in sorted({n_pad // 2 + 1, n_pad}):
+            x = panel_rng.standard_normal((n, 3))
+            rows = panel_rng.integers(0, n_pad, size=max(1, n // 3))
+            assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
+
+    # 3001 and 5001 rows leave a last group of one row for the low factor,
+    # after 375 and 625 full ones, and pad to 4096 and 8192
+    @pytest.mark.parametrize("n", [3001, 5001])
+    def test_rows_not_a_multiple_of_the_low_factor(self, n):
+        n_pad = 1 << (n - 1).bit_length()
+        assert n % _row_factors(n_pad)[-1] == 1
+        signs = panel_rng.choice([-1.0, 1.0], size=n_pad)
+        rows = panel_rng.integers(0, n_pad, size=n // 5)
+        cols = 2 * _panel_width(n, n_pad) + 3
+        big = panel_rng.standard_normal((n, 2 * cols + 1))
+        before = big.copy()
+        for x in (big[:, :cols], big[:, 1::2], big[:, 3]):
+            got = hadamard_rows(x, rows, signs)
+            assert got.shape == (rows.size,) + x.shape[1:]
+            assert _rel_dev(got, _padded_oracle(np.ascontiguousarray(x), rows, signs)) <= 1e-13
+        assert np.array_equal(big, before)
+
+    def test_empty_shapes(self):
+        none = np.array([], dtype=int)
+        assert hadamard_rows(np.ones((5, 2)), none, np.ones(8)).shape == (0, 2)
+        assert hadamard_rows(np.ones(5), none, np.ones(8)).shape == (0,)
+        assert hadamard_rows(np.ones((5, 0)), [1, 2], np.ones(8)).shape == (2, 0)
+        for n_pad in (2, 8, 128):
+            assert np.array_equal(hadamard_rows(np.ones((0, 3)), [1, 0], np.ones(n_pad)),
+                                  np.zeros((2, 3)))
+
+    def test_many_more_samples_than_transform_rows(self):
+        # m = 20000 > n_pad = 16384: most pairs are sampled, many twice,
+        # and each of the 256 groups holds about 45 of its 64 outer indices
+        signs = panel_rng.choice([-1.0, 1.0], size=16384)
+        x = panel_rng.standard_normal((8193, 3))
+        rows = panel_rng.integers(0, 16384, size=20000)
+        assert _rel_dev(hadamard_rows(x, rows, signs), _padded_oracle(x, rows, signs)) <= 1e-13
+
+    def test_transient_within_the_stated_bound(self):
+        # the docstring's bound at perfbench's lasso_ros shape: beside the
+        # m x c result and T nz coefficients, n lo + (nz blk + max(T, 2 blk)
+        # + m) w floats and a few arrays of m integers (16 m allowed here),
+        # with T the pairs of a draw padded in runs of f1 groups
+        n, c, m = 3000, 128, 888
+        f1, *_, lo = _row_factors(4096)
+        blk = 4096 // f1
+        nz = -(-n // blk)
+        w = _panel_width(n, 4096)
+        draws = np.random.default_rng(107)
+        a = draws.standard_normal((n, c))
+        over = []
+        for _ in range(20):
+            signs = draws.choice([-1.0, 1.0], size=4096)
+            rows = draws.integers(0, 4096, size=m)
+            counts = np.bincount(np.unique(rows) % blk, minlength=blk)
+            padded = f1 * int(counts.reshape(-1, f1).max(axis=1).sum())
+            bound = 8 * (m * c + padded * nz + n * lo + (nz * blk + max(padded, 2 * blk) + m) * w + 16 * m)
+            tracemalloc.start()
+            try:
+                hadamard_rows(a, rows, signs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            over.append(peak / bound)
+        assert max(over) <= 1.0
 
 
 class TestThinSvd:
@@ -313,6 +402,24 @@ class TestTopEigenvalue:
     def test_rejects_non_square(self):
         with pytest.raises(Exception, match="square"):
             top_eigenvalue(np.ones((2, 3)))
+
+    def test_overwrites_g_only_when_asked(self):
+        # syevr destroys its input: G is copied first unless overwrite_g
+        # hands over a Fortran-order G, which then costs no copy
+        n = 512
+        b = np.random.default_rng(113).standard_normal((n, n))
+        g = np.asfortranarray(b.T @ b)
+        g0 = g.copy(order="F")
+        lam = top_eigenvalue(g)
+        assert np.array_equal(g, g0)
+        tracemalloc.start()
+        try:
+            assert top_eigenvalue(g, overwrite_g=True) == lam
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * n * 8
+        assert not np.array_equal(g, g0)
 
 
 class TestOpnormEstimate:

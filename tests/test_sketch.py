@@ -9,7 +9,7 @@ import pytest
 from ihskit.errors import DimensionError, MissingHintError, RankDeficiencyError
 from ihskit.experiments import gen_sparse
 from ihskit.ihs import IhsConfig, ihs_solve
-from ihskit.linalg import _factor_sizes, fwht_normalized
+from ihskit.linalg import _row_factors, fwht_normalized
 from ihskit.seeding import derive_rng
 from ihskit.sketch import (
     KINDS,
@@ -280,8 +280,8 @@ def test_ros_apply_oversampled_with_repeated_rows():
 
 
 def test_ros_apply_all_rows_in_one_inner_group():
-    # 5000 rows pad to 8192 = 32 x 256: rows 7 + 256 j share inner index 7
-    assert _factor_sizes(8192)[0] == 32
+    # 5000 rows pad to 8192 = 32 x (32 x 8): rows 7 + 256 j share inner index 7
+    assert _row_factors(8192) == [32, 32, 8]
     op = SketchOperator(kind="ros", n=5000, m=300, signs=ros_rng.choice([-1.0, 1.0], size=8192),
                         indices=7 + 256 * ros_rng.integers(0, 32, size=300))
     a = ros_rng.standard_normal((5000, 2))
@@ -483,6 +483,19 @@ class TestProjectionConditionOracle:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "rowsample_uniform"])
+    def test_holds_no_copy_of_the_sum(self, kind):
+        # top_eigenvalue overwrites the Fortran-order sum in place; with
+        # m = 16 a draw's own arrays are a few n x m ones
+        n = 1024
+        tracemalloc.start()
+        try:
+            verify_projection_condition(SketchSpec(kind, 16, 67), n, trials=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * n * n * 8
 
 
 def test_explicit_sketch_wraps_matrix():
