@@ -63,10 +63,6 @@ EXIT_NONCONVERGED = 2
 EXIT_IO = 3
 
 
-class NonConvergence(Exception):
-    """Raised after outputs are written when a solver did not converge."""
-
-
 def _default_threads() -> int:
     env = os.environ.get("IHSKIT_THREADS")
     try:
@@ -214,6 +210,21 @@ def _apply_config(ctx: click.Context, config_path) -> None:
                 ctx, tuple(vals) if param.multiple else val)
 
 
+class _ConfigCommand(click.Command):
+    """A command that takes ``--config``. The file fills the options left
+    at their defaults (``_apply_config``); then the callback runs with
+    every option as a keyword."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--config"], type=click.Path(), default=None,
+                                        help="TOML config file; flags override."))
+
+    def invoke(self, ctx):
+        _apply_config(ctx, ctx.params["config"])
+        return super().invoke(ctx)
+
+
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
 def cli():
@@ -303,7 +314,7 @@ def _recommended_m(problem, p) -> int:
     return m
 
 
-@cli.command()
+@cli.command(cls=_ConfigCommand)
 @_add_options(_problem_options)
 @click.option("--method", type=click.Choice(["exact", "classical", "hessian", "ihs"]),
               default=None, help="Solver to run (required here or in the config file).")
@@ -314,7 +325,7 @@ def _recommended_m(problem, p) -> int:
               help="Iteration count for --method ihs.")
 @click.option("--rho", type=click.FloatRange(0.0, 0.5, min_open=True), default=0.5,
               show_default=True, help="Target contraction used when --m is derived automatically.")
-@click.option("--c0", type=float, default=1.5, show_default=True,
+@click.option("--c0", type=click.FloatRange(0, min_open=True), default=1.5, show_default=True,
               help="Width constant used when --m is derived automatically.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Master seed (required when random).")
@@ -329,19 +340,12 @@ def _recommended_m(problem, p) -> int:
               help="Record per-round (Z1, Z2) certificates in the report (ihs with "
                    "--reference and --out, unconstrained only).")
 @click.option("--out", "out_prefix", type=click.Path(), default=None,
-              help="Prefix for output files (PREFIX_solution.csv, PREFIX_report.json, ...).")
+              help="Prefix for output files: PREFIX_solution.csv and PREFIX_report.json.")
 @click.option("--timings", is_flag=True,
               help="Include wall-clock timings in the JSON report (breaks byte-for-byte "
                    "reproducibility of outputs).")
-@click.option("--config", type=click.Path(), default=None,
-              help="TOML config file; flags override.")
-@click.pass_context
-def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json,
-          method, kind, m, rounds, rho, c0, seed, inner_tol, inner_max_iter,
-          reference, certificates, out_prefix, timings, config):
+def solve(**p):
     """Solve one least-squares problem with the chosen method."""
-    _apply_config(ctx, config)
-    p = ctx.params
     if p["method"] is None:
         raise click.UsageError("--method is required (exact, classical, hessian or ihs)")
     method = p["method"]
@@ -409,23 +413,15 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
             if p["timings"]:
                 rep["per_round_seconds"] = report.per_round_seconds
         write_text_atomic(prefix + "_report.json", json.dumps(rep, indent=2) + "\n")
-        if method == "ihs":
-            lines = ["iter,err_ls_semi,err_truth_semi"]
-            for it in range(len(report.iterates)):
-                e1 = ("" if report.errors_to_ls is None
-                      else format(report.errors_to_ls[it], ".17g"))
-                e2 = ("" if report.errors_to_truth is None
-                      else format(report.errors_to_truth[it], ".17g"))
-                lines.append(f"{it},{e1},{e2}")
-            write_text_atomic(prefix + "_trace.csv", "\n".join(lines) + "\n")
     elif ref is None:
         click.echo(_fmt_vec(x), nl=False)
 
     if not converged:
-        raise NonConvergence("inner solver did not converge in at least one round")
+        click.echo("warning: inner solver did not converge in at least one round", err=True)
+        return EXIT_NONCONVERGED
 
 
-@cli.command()
+@cli.command(cls=_ConfigCommand)
 @click.option("--id", "exp_id", default=None, help=f"One of: {', '.join(EXPERIMENT_IDS)}.")
 @click.option("--out", type=click.Path(), default=None, help="Output CSV path.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed.")
@@ -440,14 +436,8 @@ def solve(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json
 @click.option("--kind", type=click.Choice(KINDS), default=None, help="Sketch ensemble.")
 @click.option("--full-scale", is_flag=True, help="Paper-scale grids and trial counts.")
 @click.option("--threads", type=int, default=None, help="Worker threads (default: all cores).")
-@click.option("--config", type=click.Path(), default=None,
-              help="TOML config file; flags override.")
-@click.pass_context
-def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, kind,
-               full_scale, threads, config):
+def experiment(**p):
     """Regenerate one benchmark experiment and write its CSV."""
-    _apply_config(ctx, config)
-    p = ctx.params
     exp_id = p["exp_id"]
     if exp_id is None or p["out"] is None or p["seed"] is None:
         raise click.UsageError("--id, --out and --seed are required")
@@ -463,7 +453,7 @@ def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, ki
     click.echo(summarize(rows))
 
 
-@cli.command()
+@cli.command(cls=_ConfigCommand)
 @_add_options(_problem_options)
 @click.option("--sketch", "kind", type=click.Choice(KINDS), default="gaussian",
               show_default=True)
@@ -471,13 +461,13 @@ def experiment(ctx, exp_id, out, seed, trials, d, n, m, gamma, rounds, sigma, ki
 @click.option("--rounds", type=int, default=6, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (required).")
 @click.option("--out", type=click.Path(), default=None, help="Write the table as JSON.")
-@click.option("--config", type=click.Path(), default=None)
-@click.pass_context
-def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_json,
-             kind, m, rounds, seed, out, config):
-    """Per-round contraction certificates (Z1, Z2) for an unconstrained problem."""
-    _apply_config(ctx, config)
-    p = ctx.params
+def diagnose(**p):
+    """Per-round contraction certificates (Z1, Z2) for an unconstrained problem.
+
+    The rounds run the plain IHS update (mu = 1). "solve --method ihs"
+    runs the tuned step and measures Z2 against mu I, so with a Gaussian
+    sketch its --certificates differ from this table.
+    """
     if p["m"] is None:
         raise click.UsageError("--m is required")
     with _reading_inputs():
@@ -487,7 +477,7 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
                 "diagnose supports unconstrained problems only (certificates for constrained "
                 "cones have no closed form)")
         spec = _sketch_spec(p["kind"], p["m"], p["seed"], what="diagnosis")
-        cfg = IhsConfig(spec, p["rounds"], collect_certificates=True)
+        cfg = IhsConfig(spec, p["rounds"], step="plain", collect_certificates=True)
     report = ihs_solve(problem, cfg, reference=solve_exact(problem).x)
     click.echo(f"{'round':>5} {'Z1':>12} {'Z2':>12} {'Z2/Z1':>12} {'err_ls_semi':>14}")
     table = []
@@ -501,7 +491,7 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
         write_text_atomic(p["out"], json.dumps({"rounds": table}, indent=2) + "\n")
 
 
-@cli.command("verify-condition")
+@cli.command("verify-condition", cls=_ConfigCommand)
 @click.option("--kind", type=click.Choice(KINDS), default="gaussian", show_default=True)
 @click.option("--n", type=int, default=None, help="Source dimension.")
 @click.option("--m", type=int, default=None, help="Sketch dimension.")
@@ -510,12 +500,8 @@ def diagnose(ctx, matrix, rhs, generate, n, d, s, d1, d2, r, sigma, constraint_j
 @click.option("--matrix", type=click.Path(), default=None,
               help="Data matrix for leverage-score sampling probabilities.")
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
-@click.option("--config", type=click.Path(), default=None)
-@click.pass_context
-def verify_condition(ctx, kind, n, m, trials, seed, matrix, out, config):
+def verify_condition(**p):
     """Monte Carlo estimate of the projection-condition constant eta."""
-    _apply_config(ctx, config)
-    p = ctx.params
     if p["n"] is None or p["m"] is None or p["seed"] is None:
         raise click.UsageError("--n, --m and --seed are required")
     lev = None
@@ -556,8 +542,7 @@ def verify_condition(ctx, kind, n, m, trials, seed, matrix, out, config):
 @click.option("--vector", type=click.Path(), required=True, help="CSV vector to project.")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the projection as CSV (default: stdout).")
-@click.pass_context
-def project_cmd(ctx, constraint_json, vector, out):
+def project_cmd(constraint_json, vector, out):
     """Euclidean projection of a vector onto a constraint set."""
     # A vector that does not fit the set is a DimensionError; an SVD
     # failure is not a ValueError and keeps exit 2.
@@ -573,16 +558,10 @@ def project_cmd(ctx, constraint_json, vector, out):
 def main(argv=None) -> int:
     """Entry point mapping exceptions to the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return EXIT_OK
-    except NonConvergence as exc:
-        click.echo(f"warning: {exc}", err=True)
-        return EXIT_NONCONVERGED
+        return cli.main(args=argv, standalone_mode=False) or EXIT_OK
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}\nTry --help for usage.", err=True)
         return EXIT_USAGE
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.Abort:
         return EXIT_USAGE
     except OSError as exc:

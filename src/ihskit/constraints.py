@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -42,6 +43,8 @@ class NuclearBall:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"nuclear-ball radius must be positive, got {self.radius}")
+        if not (isinstance(self.d1, Integral) and isinstance(self.d2, Integral)):
+            raise ValueError(f"matrix dimensions must be integers, got {self.d1!r}x{self.d2!r}")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError(f"matrix dimensions must be positive, got {self.d1}x{self.d2}")
 
@@ -167,15 +170,19 @@ def ambient_dim(cset: ConstraintSet):
 
 
 def _field(obj: dict, kind: str, key: str, cast):
-    """``cast(obj[key])``; a missing, null or unconvertible field is a
-    ``ValueError`` naming it."""
+    """``cast(obj[key])``; a missing, null or unconvertible field, or a
+    fractional one cast to ``int``, is a ``ValueError`` naming it."""
     if obj.get(key) is None:
         raise ValueError(f"{kind} constraint descriptor needs {key!r}")
+    val = obj[key]
     try:
-        return cast(obj[key])
+        out = cast(val)
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{kind} constraint descriptor: {key!r} must be numeric, "
-                         f"got {obj[key]!r}") from exc
+                         f"got {val!r}") from exc
+    if cast is int and isinstance(val, float) and out != val:  # int() would truncate
+        raise ValueError(f"{kind} constraint descriptor: {key!r} must be an integer, got {val!r}")
+    return out
 
 
 def constraint_from_json(text: str) -> ConstraintSet:

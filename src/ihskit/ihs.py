@@ -199,6 +199,8 @@ class LsProblem:
     def __post_init__(self):
         self.A = ensure_matrix(self.A, "A")
         self.y = ensure_vector(self.y, "y")
+        if self.A.shape[0] == 0:
+            raise DimensionError(f"A has no rows (shape {self.A.shape})")
         if self.A.shape[0] != self.y.shape[0]:
             raise DimensionError(
                 f"A has {self.A.shape[0]} rows but y has length {self.y.shape[0]}"
@@ -606,7 +608,7 @@ def recommend_sketch_size(
     The squared width W^2 of the relevant cone is ``d`` for
     unconstrained problems, ``s log(e d / s)`` for l1 balls with
     sparsity hint s, and ``r (d1 + d2)`` for nuclear balls with rank
-    hint r.
+    hint r. ``c0`` must be finite and positive, and ``d`` at least 1.
 
     The formula sets the scale of m; it does not guarantee the rate
     rho. At the defaults an unconstrained problem gets m = 6d. A
@@ -622,6 +624,10 @@ def recommend_sketch_size(
         raise ValueError(f"unknown family {family!r}; expected one of {_WIDTH_FAMILIES}")
     if not 0.0 < rho <= 0.5:
         raise ValueError(f"rho must lie in (0, 1/2], got {rho}")
+    if not (0.0 < c0 < math.inf):
+        raise ValueError(f"width constant c0 must be finite and positive, got {c0}")
+    if d is not None and d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     if family == "unconstrained":
         if d is None:
             raise MissingHintError("unconstrained width needs the dimension d")

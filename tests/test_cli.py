@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import click
@@ -7,6 +8,9 @@ import pytest
 
 import ihskit.cli as cli_mod
 from ihskit.cli import main
+from ihskit.experiments import gen_unconstrained
+from ihskit.ihs import IhsConfig, ihs_solve, solve_exact
+from ihskit.sketch import SketchSpec
 
 A_CSV = "1,0\n0,1\n1,1\n"
 Y_CSV = "1\n2\n3\n"
@@ -81,7 +85,7 @@ class TestSolve:
             assert code == 0
             outs.append({
                 name: (prefix.parent / (prefix.name + name)).read_bytes()
-                for name in ("_solution.csv", "_report.json", "_trace.csv")
+                for name in ("_solution.csv", "_report.json")
             })
         assert outs[0] == outs[1]
         capsys.readouterr()
@@ -219,6 +223,58 @@ class TestSolve:
         assert "did not converge" in capsys.readouterr().err
         with open(prefix + "_report.json") as fh:
             assert json.load(fh)["converged"] is False
+
+    def test_capped_solve_warns_and_reports_nonconvergence(self, tmp_path, capsys):
+        code = run(["solve", "--method", "ihs", "--m", "40", "--rounds", "2", "--seed", "3",
+                    "--generate", "sparse", "--n", "200", "--d", "10", "--s", "3",
+                    "--inner-max-iter", "1", "--out", tmp_path / "capped"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "warning: inner solver did not converge in at least one round\n"
+        assert captured.out == ""
+        assert json.loads((tmp_path / "capped_report.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize("method", ["exact", "ihs"])
+    def test_out_writes_solution_and_report_only(self, tmp_path, capsys, method):
+        code = run(["solve", "--method", method, "--m", "30", "--rounds", "3", "--seed", "9",
+                    "--generate", "unconstrained", "--n", "100", "--d", "5",
+                    "--out", tmp_path / "run"])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run_report.json",
+                                                               "run_solution.csv"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "ihs", "--generate", "lowrank", "--n", "0", "--d1", "3", "--d2", "3",
+         "--r", "1", "--seed", "1"],
+        ["--method", "exact", "--generate", "sparse", "--n", "0", "--d", "5", "--s", "2",
+         "--seed", "1"],
+    ], ids=["lowrank_ihs", "sparse_exact"])
+    def test_zero_rows_is_usage_error(self, capsys, args):
+        # these ended in a traceback from the sketch and in a numpy
+        # RuntimeWarning and exit 2 from the exact solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["solve", *args])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: A has no rows (shape (0, ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("c0, message", [
+        ("-1", "Invalid value for '--c0': -1.0 is not in the range x>0."),
+        ("0", "Invalid value for '--c0': 0.0 is not in the range x>0."),
+        ("nan", "width constant c0 must be finite and positive, got nan"),
+        ("inf", "width constant c0 must be finite and positive, got inf"),
+    ])
+    def test_c0_checked(self, capsys, c0, message):
+        # --c0 -1 was reported as "sketch dimension m must be >= 1, got -8"
+        code = run(["solve", "--method", "ihs", "--generate", "sparse", "--n", "200",
+                    "--d", "10", "--s", "3", "--seed", "1", "--c0", c0])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "sketch dimension m" not in captured.err
+        assert captured.out == ""
 
     def test_malformed_matrix_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -576,6 +632,71 @@ class TestConfigFile:
         assert "No such file or directory" in capsys.readouterr().err
 
 
+# Each command that takes --config, the flags a run needs besides --out,
+# and the suffix its --out value gets.
+CONFIG_COMMANDS = {
+    "solve": (["--method", "exact", "--generate", "unconstrained", "--n", "30", "--d", "3",
+               "--seed", "1"], "_report.json"),
+    "experiment": (["--id", "fig3", "--d", "4", "--trials", "1", "--seed", "1",
+                    "--threads", "1"], ""),
+    "diagnose": (["--generate", "unconstrained", "--n", "60", "--d", "3", "--m", "12",
+                  "--rounds", "2", "--seed", "1"], ""),
+    "verify-condition": (["--n", "16", "--m", "4", "--trials", "5", "--seed", "1"], ""),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+class TestConfigOption:
+    def _config(self, tmp_path, text):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(text)
+        return cfg
+
+    def test_key_seeds_option(self, tmp_path, capsys, command):
+        args, suffix = CONFIG_COMMANDS[command]
+        cfg = self._config(tmp_path, f'out = "{tmp_path / "from_config"}"\n')
+        assert run([command, *args, "--config", cfg]) == 0
+        assert (tmp_path / ("from_config" + suffix)).exists()
+        capsys.readouterr()
+
+    def test_flag_overrides_key(self, tmp_path, capsys, command):
+        args, suffix = CONFIG_COMMANDS[command]
+        cfg = self._config(tmp_path, f'out = "{tmp_path / "from_config"}"\n')
+        assert run([command, *args, "--config", cfg, "--out", tmp_path / "from_flag"]) == 0
+        assert (tmp_path / ("from_flag" + suffix)).exists()
+        assert not (tmp_path / ("from_config" + suffix)).exists()
+        capsys.readouterr()
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, command):
+        args, _ = CONFIG_COMMANDS[command]
+        cfg = self._config(tmp_path, "zzz = 1\n")
+        assert run([command, *args, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "config key 'zzz' is not an option of this command" in captured.err
+        assert captured.out == ""
+
+    def test_help_describes_config(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"--config PATH\s+TOML config file; flags override\.", out)
+
+
+def test_project_takes_no_config(capsys):
+    assert run(["project", "--help"]) == 0
+    assert "--config" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--version"], ["--help"], ["solve", "--help"],
+    ["solve", "--method", "exact", "--generate", "unconstrained", "--n", "30", "--d", "3",
+     "--seed", "1"],
+], ids=["version", "help", "command_help", "solve"])
+def test_main_returns_int(capsys, args):
+    code = main(args)
+    assert type(code) is int and code == 0
+    capsys.readouterr()
+
+
 class TestExperiment:
     def test_fig2_row_count(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
@@ -674,6 +795,25 @@ class TestDiagnose:
             assert 0 < rec["Z1"] <= 2.5
             assert rec["ratio"] == pytest.approx(rec["Z2"] / rec["Z1"])
 
+    def test_table_is_plain_step_certificates(self, tmp_path, capsys):
+        out = tmp_path / "diag.json"
+        code = run(["diagnose", "--generate", "unconstrained", "--n", "400", "--d", "10",
+                    "--m", "80", "--rounds", "3", "--seed", "3", "--out", out])
+        assert code == 0
+        capsys.readouterr()
+        table = json.loads(out.read_text())["rounds"]
+        problem = gen_unconstrained(400, 10, 1.0, (3, 0))
+        reference = solve_exact(problem).x
+        reports = {step: ihs_solve(problem, IhsConfig(SketchSpec("gaussian", 80, 3), 3, step=step,
+                                                      collect_certificates=True),
+                                   reference=reference)
+                   for step in ("plain", "tuned")}
+        plain = reports["plain"]
+        assert [[rec["Z1"], rec["Z2"]] for rec in table] == [list(c) for c in plain.certificates]
+        assert [rec["err_ls_semi"] for rec in table] == plain.errors_to_ls[1:]
+        # solve --method ihs runs the tuned step, whose Z2 differs
+        assert reports["tuned"].certificates[0][1] != table[0]["Z2"]
+
     def test_constrained_problem_rejected(self, capsys):
         code = run(["diagnose", "--generate", "sparse", "--n", "100", "--d", "6",
                     "--s", "2", "--m", "20", "--seed", "1"])
@@ -754,6 +894,15 @@ class TestProject:
         assert code == 1
         captured = capsys.readouterr()
         assert "lo <= hi" in captured.err and captured.out == ""
+
+    def test_fractional_nuclear_dimension_is_usage_error(self, tmp_path, capsys):
+        v = tmp_path / "v.csv"
+        v.write_text("1\n2\n3\n4\n")
+        code = run(["project", "--vector", v,
+                    "--constraint", '{"type": "nuclear", "radius": 1, "d1": 2.5, "d2": 2}'])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "'d1' must be an integer, got 2.5" in captured.err and captured.out == ""
 
     def test_simplex_projection_to_file(self, tmp_path):
         v = tmp_path / "v.csv"

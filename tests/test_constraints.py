@@ -263,3 +263,25 @@ def test_only_documented_type_spellings_parse(kind):
 def test_malformed_descriptor_names_field(text, message):
     with pytest.raises(ValueError, match=message):
         constraint_from_json(text)
+
+
+@pytest.mark.parametrize("key, text", [
+    ("d1", '{"type": "nuclear", "radius": 1, "d1": 2.5, "d2": 2}'),
+    ("d2", '{"type": "nuclear", "radius": 1, "d1": 2, "d2": 3.0000001}'),
+])
+def test_fractional_nuclear_dimension_refused(key, text):
+    # int() truncated 2.5 to 2 without a word
+    value = json.loads(text)[key]
+    with pytest.raises(ValueError, match=f"'{key}' must be an integer, got {value}"):
+        constraint_from_json(text)
+
+
+@pytest.mark.parametrize("d1, d2", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2)])
+def test_nuclear_ball_requires_integer_dimensions(d1, d2):
+    with pytest.raises(ValueError, match="matrix dimensions must be integers"):
+        NuclearBall(1.0, d1, d2)
+
+
+def test_nuclear_ball_takes_numpy_integers():
+    cset = NuclearBall(1.0, np.int64(2), np.int32(3))
+    assert project(cset, np.ones(6)).shape == (6,)

@@ -814,6 +814,20 @@ class TestRecommenders:
         with pytest.raises(ValueError):
             recommend_sketch_size("unconstrained", d=10, rho=0.7)
 
+    @pytest.mark.parametrize("c0", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("family", ["unconstrained", "sparse", "lowrank"])
+    def test_c0_must_be_finite_and_positive(self, family, c0):
+        # c0 = -1 gave m = -40 and c0 = nan a bare "cannot convert float NaN"
+        with pytest.raises(ValueError, match=f"c0 must be finite and positive, got {c0}"):
+            recommend_sketch_size(family, d=10, s=2, d1=3, d2=3, r=1, c0=c0)
+
+    @pytest.mark.parametrize("d", [0, -4])
+    @pytest.mark.parametrize("family", ["unconstrained", "sparse"])
+    def test_dimension_below_one_rejected(self, family, d):
+        # d = 0 gave m = 0 and d = -4 gave m = -24
+        with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
+            recommend_sketch_size(family, d=d, s=1)
+
     def test_iterations_formula(self):
         assert recommend_iterations(10_000, 1.0, 1.0, 0.5) == 8
         assert recommend_iterations(6000, 1.0, 1.0, 0.5) == 8
@@ -972,6 +986,17 @@ class TestProblemValidation:
         from ihskit.constraints import NuclearBall
         with pytest.raises(Exception):
             LsProblem(np.ones((4, 5)), np.ones(4), set=NuclearBall(1.0, 2, 2))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DimensionError, match=r"A has no rows \(shape \(0, 3\)\)"):
+            LsProblem(np.zeros((0, 3)), np.zeros(0))
+
+    @pytest.mark.parametrize("gen, args", [(gen_sparse, (0, 5, 2)), (gen_lowrank, (0, 3, 3, 1))])
+    def test_generators_reject_no_rows(self, gen, args):
+        # the sparse problem ran to a 0/0 in solve_exact and the low-rank
+        # one to the sketch's "n must be >= 1"; both now stop here
+        with pytest.raises(DimensionError, match="A has no rows"):
+            gen(*args, 1.0, (1, 0))
 
 
 def _rel(a, b):
