@@ -456,9 +456,10 @@ def experiment(**p):
 @cli.command(cls=_ConfigCommand)
 @_add_options(_problem_options)
 @click.option("--sketch", "kind", type=click.Choice(KINDS), default="gaussian",
-              show_default=True)
+              show_default=True, help="Sketch ensemble of every round.")
 @click.option("--m", type=int, default=None, help="Sketch dimension per round.")
-@click.option("--rounds", type=int, default=6, show_default=True)
+@click.option("--rounds", type=int, default=6, show_default=True,
+              help="IHS rounds to certify, one table row each.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (required).")
 @click.option("--out", type=click.Path(), default=None, help="Write the table as JSON.")
 def diagnose(**p):
@@ -492,10 +493,12 @@ def diagnose(**p):
 
 
 @cli.command("verify-condition", cls=_ConfigCommand)
-@click.option("--kind", type=click.Choice(KINDS), default="gaussian", show_default=True)
+@click.option("--kind", type=click.Choice(KINDS), default="gaussian", show_default=True,
+              help="Sketch ensemble to check.")
 @click.option("--n", type=int, default=None, help="Source dimension.")
 @click.option("--m", type=int, default=None, help="Sketch dimension.")
-@click.option("--trials", type=int, default=2000, show_default=True)
+@click.option("--trials", type=int, default=2000, show_default=True,
+              help="Independent sketch draws averaged in the estimate.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed.")
 @click.option("--matrix", type=click.Path(), default=None,
               help="Data matrix for leverage-score sampling probabilities.")

@@ -2,21 +2,23 @@
 
 Each runner regenerates one of the benchmark experiments at desk scale.
 A runner only lists its grid points (problem generator, reported n and
-d, sketch size, rounds) and hands them to one of two shapes:
+d, sketch size, rounds) and hands them to one task, which runs every
+point and trial the same way: it draws the problem, solves it exactly
+for the reference and runs IHS. The task writes one of two row layouts:
 
 * comparison (fig1, fig3, fig5, fig6a) - per point and trial, an
   ``exact``, an ``ihs`` and a ``classical`` row with their final errors;
-* trace (fig2, fig4) - per point and trial, one ``ihs`` row per iterate,
-  flagged with the point's tag, ``gamma=<value>``.
+* trace (fig2, fig4) - per point and trial, one ``ihs`` row per iterate.
 
 Point i, trial t draws its problem from the stream ``(seed, fig, i, t,
 0)`` and its IHS and classical sketches from ``(fig, i, t, 1)`` and
-``(fig, i, t, 2)``. A typed solver error turns the point's rows into one
-``failed:<Error>`` row, and a row whose solver stopped at its
-iteration cap is flagged ``nonconverged``. IHS runs with
-``inner_schedule="fixed"``, solving every constrained round to the
-fixed inner tolerance as the paper's analysis assumes. Rows have the
-fixed CSV schema
+``(fig, i, t, 2)``. A row's flag joins the point's tag (the traces'
+``gamma=<value>``) and ``nonconverged``, set when its solver stopped at
+its iteration cap, by ``;``. A typed solver error turns the point's
+rows into one ``failed:<Error>`` row, of method ``ihs`` in a trace and
+``all`` in a comparison. IHS runs with ``inner_schedule="fixed"``,
+solving every constrained round to the fixed inner tolerance as the
+paper's analysis assumes. Rows have the fixed CSV schema
 
     experiment,trial,n,d,method,iter,err_ls_semi,err_truth_semi,err_truth_l2,seconds,flag
 
@@ -82,7 +84,7 @@ def gen_unconstrained(n: int, d: int, sigma: float, seed) -> LsProblem:
     a = rng.standard_normal((n, d))
     x_star = rng.standard_normal(d)
     x_star /= np.linalg.norm(x_star)
-    y = a @ x_star + sigma * rng.standard_normal(n)
+    y = a @ x_star + _noise(rng, sigma, n)
     return LsProblem(a, y, truth=x_star)
 
 
@@ -97,7 +99,7 @@ def gen_sparse(n: int, d: int, s: int, sigma: float, seed) -> LsProblem:
     support = rng.choice(d, size=s, replace=False)
     x_star = np.zeros(d)
     x_star[support] = (2.0 * rng.integers(0, 2, size=s) - 1.0) / math.sqrt(s)
-    y = a @ x_star + sigma * rng.standard_normal(n)
+    y = a @ x_star + _noise(rng, sigma, n)
     return LsProblem(a, y, set=L1Ball(float(np.abs(x_star).sum())), truth=x_star)
 
 
@@ -118,8 +120,7 @@ def gen_lowrank(n: int, d1: int, d2: int, r: int, sigma: float, seed) -> LsProbl
     x_mat = rng.standard_normal((d1, r)) @ rng.standard_normal((r, d2))
     x_mat /= np.linalg.norm(x_mat)
     radius = float(np.linalg.svd(x_mat, compute_uv=False).sum())
-    w = sigma * rng.standard_normal((n, d2))
-    y_mat = a_base @ x_mat + w
+    y_mat = a_base @ x_mat + _noise(rng, sigma, (n, d2))
     a = np.kron(np.eye(d2), a_base)
     return LsProblem(
         a,
@@ -135,17 +136,13 @@ def _gen_rng(seed) -> np.random.Generator:
     return derive_rng(seed) if isinstance(seed, (int, np.integer)) else derive_rng(*seed)
 
 
-def _row(exp, trial, n, d, method, iteration, problem, x, x_ls, seconds, flag=""):
-    err_ls = None if x_ls is None else problem.seminorm(x - x_ls)
-    err_ts = None if problem.truth is None else problem.seminorm(x - problem.truth)
-    err_tl = None if problem.truth is None else float(np.linalg.norm(x - problem.truth))
-    return ExperimentRow(exp, trial, n, d, method, iteration, err_ls, err_ts, err_tl,
-                         seconds, flag)
-
-
-def _fail_row(exp, trial, n, d, method, exc):
-    return ExperimentRow(exp, trial, n, d, method, 0, None, None, None, 0.0,
-                         f"failed:{type(exc).__name__}")
+def _noise(rng: np.random.Generator, sigma: float, shape) -> np.ndarray:
+    """N(0, sigma^2) noise, each generator's last draw. A sigma that is not
+    finite and >= 0 is a plain ``ValueError``: the runners would turn an
+    ``IhskitError`` into failed rows."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma * rng.standard_normal(shape)
 
 
 class _Point(NamedTuple):
@@ -162,11 +159,55 @@ class _Point(NamedTuple):
     tag: str = ""
 
 
-def _execute(task, points, trials: int, threads: int) -> List[ExperimentRow]:
+def _timed(fn):
+    tic = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - tic
+
+
+def _run(exp, seed, points, trials, kind, threads, trace=False, step="plain"):
+    """The rows of every grid point and trial, in (point, trial) order: a
+    comparison's final ``exact``, ``ihs`` and ``classical`` rows, or with
+    ``trace`` one ``ihs`` row per iterate."""
     if trials < 1 or threads < 1:
         raise ValueError(f"trials and threads must be >= 1, got trials={trials}, "
                          f"threads={threads}")
-    jobs = [(i, point, t) for i, point in enumerate(points) for t in range(trials)]
+    fig = _FIG_STREAM[exp]
+
+    def task(i, p, t):
+        def row(method, iteration, x, seconds, converged):
+            flag = ";".join(part for part in (p.tag, "" if converged else "nonconverged")
+                            if part)
+            return ExperimentRow(exp, t, p.n, p.d, method, iteration, prob.seminorm(x - x_ls),
+                                 prob.seminorm(x - prob.truth),
+                                 float(np.linalg.norm(x - prob.truth)), seconds, flag)
+
+        try:
+            prob = p.make((seed, fig, i, t, 0))
+            exact, sec_exact = _timed(lambda: solve_exact(prob))
+            x_ls = exact.x
+            spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
+            ihs, sec_ihs = _timed(lambda: ihs_solve(
+                prob, IhsConfig(spec, p.rounds, step=step, inner_schedule="fixed")))
+            if trace:
+                converged = [True] + ihs.round_converged
+                return [row("ihs", it, x, sec_ihs / p.rounds if it else 0.0, converged[it])
+                        for it, x in enumerate(ihs.iterates)]
+            # fig6a sketches the full stacked problem: a block sketch of
+            # rounds * m rows would be nearly exact there, as rounds * m >> n
+            cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
+            cl_m = p.classical_m or p.rounds * p.m
+            cl_spec = SketchSpec(kind, cl_m, seed, stream=(fig, i, t, 2))
+            classical, sec_cl = _timed(lambda: classical_sketch_solve(cl_prob, cl_spec))
+            return [row(method, rounds, rep.x, sec, rep.all_converged)
+                    for method, rounds, rep, sec in (("exact", 0, exact, sec_exact),
+                                                     ("ihs", p.rounds, ihs, sec_ihs),
+                                                     ("classical", 0, classical, sec_cl))]
+        except IhskitError as exc:
+            return [ExperimentRow(exp, t, p.n, p.d, "ihs" if trace else "all", 0, None, None,
+                                  None, 0.0, f"failed:{type(exc).__name__}")]
+
+    jobs = [(i, p, t) for i, p in enumerate(points) for t in range(trials)]
     if threads <= 1:
         chunks = [task(*job) for job in jobs]
     else:
@@ -175,68 +216,12 @@ def _execute(task, points, trials: int, threads: int) -> List[ExperimentRow]:
     return [row for chunk in chunks for row in chunk]
 
 
-def _timed(fn):
-    tic = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - tic
-
-
-def _compare(exp, seed, points, trials, kind, threads):
-    """An exact, an IHS and a classical-sketch row per grid point and trial."""
-    fig = _FIG_STREAM[exp]
-
-    def task(i, p, t):
-        try:
-            prob = p.make((seed, fig, i, t, 0))
-            exact, sec_exact = _timed(lambda: solve_exact(prob))
-            x_ls = exact.x
-            spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
-            report, sec_ihs = _timed(
-                lambda: ihs_solve(prob, IhsConfig(spec, p.rounds, inner_schedule="fixed")))
-            # fig6a sketches the full stacked problem: a block sketch of
-            # rounds * m rows would be nearly exact there, as rounds * m >> n
-            cl_prob = replace(prob, sketch_blocks=1) if p.flat_classical else prob
-            cl_m = p.classical_m or p.rounds * p.m
-            cl_spec = SketchSpec(kind, cl_m, seed, stream=(fig, i, t, 2))
-            classical, sec_cl = _timed(lambda: classical_sketch_solve(cl_prob, cl_spec))
-            return [_row(exp, t, p.n, p.d, method, rounds, prob, rep.x, x_ls, sec,
-                         "" if rep.all_converged else "nonconverged")
-                    for method, rounds, rep, sec in (("exact", 0, exact, sec_exact),
-                                                     ("ihs", p.rounds, report, sec_ihs),
-                                                     ("classical", 0, classical, sec_cl))]
-        except IhskitError as exc:
-            return [_fail_row(exp, t, p.n, p.d, "all", exc)]
-
-    return _execute(task, points, trials, threads)
-
-
-def _trace(exp, seed, points, trials, kind, step, threads):
-    """One IHS row per iterate, per grid point and trial."""
-    fig = _FIG_STREAM[exp]
-
-    def task(i, p, t):
-        try:
-            prob = p.make((seed, fig, i, t, 0))
-            x_ls = solve_exact(prob).x
-            spec = SketchSpec(kind, p.m, seed, stream=(fig, i, t, 1))
-            report, sec = _timed(lambda: ihs_solve(
-                prob, IhsConfig(spec, p.rounds, step=step, inner_schedule="fixed")))
-            converged = [True] + report.round_converged
-            return [_row(exp, t, p.n, p.d, "ihs", it, prob, x, x_ls, sec / p.rounds if it else 0.0,
-                         p.tag if converged[it] else p.tag + ";nonconverged")
-                    for it, x in enumerate(report.iterates)]
-        except IhskitError as exc:
-            return [_fail_row(exp, t, p.n, p.d, "ihs", exc)]
-
-    return _execute(task, points, trials, threads)
-
-
 def _run_fig1(seed, d=10, m_factor=7, n_grid=(100, 400, 1600, 6400), trials=30,
               sigma=1.0, kind="gaussian", threads=1):
     m = math.ceil(m_factor * d)
     points = [_Point(partial(gen_unconstrained, n, d, sigma), n, d, m,
                      1 + math.ceil(math.log(n))) for n in n_grid]
-    return _compare("fig1", seed, points, trials, kind, threads)
+    return _run("fig1", seed, points, trials, kind, threads)
 
 
 def _run_fig2(seed, d=200, n=6000, gammas=(4, 6, 8), rounds=6, trials=10,
@@ -245,7 +230,7 @@ def _run_fig2(seed, d=200, n=6000, gammas=(4, 6, 8), rounds=6, trials=10,
     # paper's plain-IHS traces
     points = [_Point(partial(gen_unconstrained, n, d, sigma), n, d, math.ceil(g * d), rounds,
                      tag=f"gamma={g:g}") for g in gammas]
-    return _trace("fig2", seed, points, trials, kind, step, threads)
+    return _run("fig2", seed, points, trials, kind, threads, trace=True, step=step)
 
 
 def _run_fig3(seed, d_grid=(16, 32, 64), n_factor=100, gamma=6, classical_budget=24,
@@ -256,14 +241,14 @@ def _run_fig3(seed, d_grid=(16, 32, 64), n_factor=100, gamma=6, classical_budget
         nrounds = 1 + math.ceil(math.log2(math.sqrt(n / d))) if rounds is None else rounds
         points.append(_Point(partial(gen_unconstrained, n, d, sigma), n, d,
                              math.ceil(gamma * d), nrounds, classical_budget * d))
-    return _compare("fig3", seed, points, trials, kind, threads)
+    return _run("fig3", seed, points, trials, kind, threads)
 
 
 def _run_fig4(seed, d=256, n=8872, s=32, gammas=(2, 5, 25), rounds=6, trials=5,
               sigma=1.0, kind="gaussian", threads=1):
     points = [_Point(partial(gen_sparse, n, d, s, sigma), n, d, math.ceil(g * s * math.log(d)),
                      rounds, tag=f"gamma={g:g}") for g in gammas]
-    return _trace("fig4", seed, points, trials, kind, "plain", threads)
+    return _run("fig4", seed, points, trials, kind, threads, trace=True)
 
 
 def _run_fig5(seed, d_grid=(32, 64, 128), gamma=4, rounds=4, trials=10,
@@ -275,7 +260,7 @@ def _run_fig5(seed, d_grid=(32, 64, 128), gamma=4, rounds=4, trials=10,
         n = int(round(100.0 * width_sq))
         m = math.ceil(gamma * width_sq)
         points.append(_Point(partial(gen_sparse, n, d, s, sigma), n, d, m, rounds))
-    return _compare("fig5", seed, points, trials, kind, threads)
+    return _run("fig5", seed, points, trials, kind, threads)
 
 
 def _run_fig6a(seed, d1=20, d2=20, r=2, m=60, n_grid=(40, 80), rounds=None, trials=5,
@@ -283,7 +268,7 @@ def _run_fig6a(seed, d1=20, d2=20, r=2, m=60, n_grid=(40, 80), rounds=None, tria
     points = [_Point(partial(gen_lowrank, n, d1, d2, r, sigma), n, d1 * d2, m,
                      1 + math.ceil(math.log(n)) if rounds is None else rounds,
                      flat_classical=True) for n in n_grid]
-    return _compare("fig6a", seed, points, trials, kind, threads)
+    return _run("fig6a", seed, points, trials, kind, threads)
 
 
 _RUNNERS = {

@@ -336,6 +336,17 @@ def _leverage_for(a: np.ndarray, spec: SketchSpec):
     return leverage_scores(a) if spec.kind == "rowsample_leverage" else None
 
 
+def _check_sketch_size(cset: ConstraintSet, sketch, d: int) -> None:
+    """Refuse a sketch of fewer rows than the d columns of A_base on an
+    unconstrained problem. Its Gram has rank at most m < d, yet rounding
+    can leave Cholesky a tiny positive last pivot and a meaningless
+    solution. A constrained solve keeps m < d, the paper's regime."""
+    if isinstance(cset, Unconstrained) and sketch.m < d:
+        raise RankDeficiencyError(
+            f"sketch size m = {sketch.m} is below d = {d}: the sketched Gram of an "
+            "unconstrained problem is singular")
+
+
 def _report(problem: LsProblem, xs, seconds, flags, inner_iters,
             reference=None, certs=None) -> IhsReport:
     """The report of a solve whose iterates, in base form, are ``xs``.
@@ -376,13 +387,17 @@ def _one_shot(problem: LsProblem, spec, ctl, operator, sketch_response) -> IhsRe
     solve only through its Gram (:func:`sketch_gram`), so a dense draw
     never forms ``S A``. The classical solve takes both G and c from the
     Gram of ``S [A | y]``, sketched in one pass without stacking A and y.
+    On an unconstrained problem a sketch of m < d_base rows raises
+    :class:`RankDeficiencyError` before its Gram is formed.
     """
     tic = time.perf_counter()
     a, y = _base_form(problem)
     if operator is None and spec is None:
         raise ValueError("either a sketch spec or a realized operator is required")
     d = a.shape[1]
-    sketch, lev = (spec, _leverage_for(a, spec)) if operator is None else (operator, None)
+    sketch = spec if operator is None else operator
+    _check_sketch_size(problem.set, sketch, d)
+    lev = _leverage_for(a, spec) if operator is None else None
     if sketch_response:
         gram = sketch_gram(sketch, a, problem.n, leverage_p=lev, y=y)[0]
         g, c = gram[:d, :d], (gram[:d, d:] if y.ndim == 2 else gram[:d, d])
@@ -502,7 +517,8 @@ def ihs_solve(
     thread, when round t is solved (see the module docstring), and an
     exception it or the operator's ``apply`` raises reaches the caller
     unchanged. A singular sketched Gram in an unconstrained round raises
-    :class:`RankDeficiencyError`.
+    :class:`RankDeficiencyError`, as does, before its Gram is formed, an
+    unconstrained round whose sketch has fewer rows than A_base columns.
 
     ``config.step`` selects the unconstrained update ``x+ = G^-1 (G x +
     mu grad)``: ``"plain"`` (mu = 1, the default; a Gaussian sketch at
@@ -538,6 +554,7 @@ def ihs_solve(
 
     def sketched_gram(t):
         sketch = config.spec.for_round(t) if operator_factory is None else operator_factory(t)
+        _check_sketch_size(cset, sketch, a.shape[1])
         return sketch_gram(sketch, a, n, w, lev)
 
     xs = [x]

@@ -498,6 +498,27 @@ class TestExitCodes:
         assert code == 2
         assert "numerical error: iterate is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["hessian", "classical", "ihs"])
+    def test_unconstrained_sketch_smaller_than_d_is_numerical(self, capsys, method):
+        code = run(["solve", "--method", method, "--generate", "unconstrained", "--n", "50",
+                    "--d", "3", "--m", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "numerical error: sketch size m = 2 is below d = 3" in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["experiment", "--id", "fig1", "--d", "4", "--trials", "1", "--seed", "1",
+         "--sigma", "nan", "--out", "{tmp}/x.csv"],
+        ["solve", "--method", "exact", "--generate", "unconstrained", "--n", "50", "--d", "3",
+         "--seed", "1", "--sigma", "inf"],
+    ], ids=["experiment_nan", "solve_inf"])
+    def test_non_finite_sigma_is_usage_error(self, tmp_path, capsys, args):
+        code = run([a.replace("{tmp}", str(tmp_path)) for a in args])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: sigma must be finite and >= 0" in captured.err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_out_under_regular_file_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -913,6 +934,13 @@ class TestProject:
         assert code == 0
         got = [float(t) for t in out.read_text().split()]
         assert got == pytest.approx([0.5, 0.5])
+
+
+def test_every_option_has_help_text():
+    for name, command in cli_mod.cli.commands.items():
+        for param in command.params:
+            if isinstance(param, click.Option):
+                assert param.help, f"{name} {param.opts[0]} has no help text"
 
 
 def test_help_lists_commands(capsys):

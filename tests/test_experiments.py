@@ -1,9 +1,11 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import ihskit.experiments as experiments
+from ihskit.errors import IhskitError
 from ihskit.experiments import (
     CSV_HEADER,
     gen_lowrank,
@@ -97,6 +99,18 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_lowrank(20, 4, 4, 5, 1.0, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("gen", [
+        lambda sigma: gen_unconstrained(20, 3, sigma, 0),
+        lambda sigma: gen_sparse(20, 6, 2, sigma, 0),
+        lambda sigma: gen_lowrank(12, 4, 3, 1, sigma, 0),
+    ], ids=["unconstrained", "sparse", "lowrank"])
+    def test_noise_level_not_finite_and_nonnegative_rejected(self, gen, sigma):
+        # a plain ValueError: the runners turn an IhskitError into failed rows
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0") as info:
+            gen(sigma)
+        assert not isinstance(info.value, IhskitError)
+
 
 class TestRunners:
     def test_fig2_row_count_contract(self):
@@ -184,6 +198,26 @@ class TestCsv:
         assert len(finals) == 2 and finals[0] != finals[1]
         line = summarize(rows)
         assert f"mean err_truth={np.mean(finals):.4g} (trials=1, points=2)" in line
+
+
+@pytest.mark.parametrize("make", [
+    partial(gen_unconstrained, 200, 8, 1.0),
+    partial(gen_sparse, 200, 8, 3, 1.0),
+], ids=["unconstrained", "sparse"])
+def test_trace_ends_at_the_comparison_ihs_row(make):
+    # one task: a trace's last iterate is the comparison's ihs row
+    points = [experiments._Point(make, 200, 8, 40, 3, tag="gamma=5"),
+              experiments._Point(make, 200, 8, 60, 2, tag="gamma=7")]
+    args = ("fig1", 4, points, 2, "gaussian", 1)
+    trace = experiments._run(*args, trace=True)
+    compare = experiments._run(*args)
+    assert len(trace) == 2 * (4 + 3) and len(compare) == 2 * 2 * 3
+    lasts = [row for row, nxt in zip(trace, trace[1:] + [None])
+             if nxt is None or nxt.iteration == 0]
+    ihs_rows = [row for row in compare if row.method == "ihs"]
+    keys = ("trial", "n", "d", "iteration", "err_ls_semi", "err_truth_semi", "err_truth_l2")
+    for last, ihs in zip(lasts, ihs_rows, strict=True):
+        assert [getattr(last, k) for k in keys] == [getattr(ihs, k) for k in keys]
 
 
 def test_fig4_and_fig5_smoke():

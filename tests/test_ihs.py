@@ -266,6 +266,26 @@ class TestIhsSolve:
         with pytest.raises(RankDeficiencyError, match="sketch size m"):
             ihs_solve(prob, cfg)
 
+    @pytest.mark.parametrize("solve", [
+        lambda prob, spec: classical_sketch_solve(prob, spec),
+        lambda prob, spec: hessian_sketch_solve(prob, spec),
+        lambda prob, spec: hessian_sketch_solve(prob, operator=build_sketch(spec, prob.n)),
+        lambda prob, spec: ihs_solve(prob, IhsConfig(spec, rounds=2),
+                                     operator_factory=lambda t: build_sketch(spec, prob.n)),
+    ], ids=["classical", "hessian", "hessian_operator", "ihs_operator"])
+    def test_unconstrained_sketch_smaller_than_d_refused(self, solve):
+        # m = 2 < d = 3: the Gram has rank 2, yet Cholesky may pass on rounding
+        prob = gen_unconstrained(50, 3, 1.0, 41)
+        with pytest.raises(RankDeficiencyError, match=r"sketch size m = 2 is below d = 3"):
+            solve(prob, SketchSpec("gaussian", 2, 1))
+
+    def test_constrained_sketch_smaller_than_d_solves(self):
+        prob = gen_sparse(300, 16, 2, 1.0, 41)
+        spec = SketchSpec("gaussian", 8, 1)
+        for rep in (classical_sketch_solve(prob, spec), hessian_sketch_solve(prob, spec),
+                    ihs_solve(prob, IhsConfig(spec, rounds=2))):
+            assert contains(prob.set, rep.x, tol=1e-9)
+
     def test_zero_sketch_raises_rank_deficiency(self):
         prob = gen_unconstrained(60, 4, 1.0, 41)
         zero = explicit_sketch(np.zeros((20, 60)))
