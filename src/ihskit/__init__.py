@@ -1,65 +1,35 @@
 """Randomized sketching for constrained least squares.
 
-Implements the classical sketch, the Hessian sketch and the iterative
-Hessian sketch over convex constraint sets (l1 and nuclear-norm balls,
-the simplex, boxes), together with the sketch ensembles they rely on,
-contraction certificates, and an experiment harness.
+The package root is the solver API: the constraint sets, the problem,
+sketch, inner-solver and IHS settings, the exact solve and the
+classical, Hessian and iterative Hessian sketches, the report they all
+return, and the sketch-size and round-count recommenders. Everything
+else (kernels, sketch operators, the inner solver, certificates, the
+generators and experiment runners) is imported from its own module,
+for example ``ihskit.sketch.build_sketch`` or
+``ihskit.experiments.run_experiment``.
 """
 
 __version__ = "0.1.0"
 
-from .constraints import (
-    Box,
-    ConstraintSet,
-    L1Ball,
-    NuclearBall,
-    Simplex,
-    Unconstrained,
-    contains,
-    project,
-)
-from .experiments import (
-    ExperimentRow,
-    gen_lowrank,
-    gen_sparse,
-    gen_unconstrained,
-    run_experiment,
-)
+from .constraints import Box, L1Ball, NuclearBall, Simplex, Unconstrained
 from .ihs import (
     IhsConfig,
     IhsReport,
     LsProblem,
     classical_sketch_solve,
-    contraction_certificates_unconstrained,
     hessian_sketch_solve,
     ihs_solve,
     recommend_iterations,
     recommend_sketch_size,
     solve_exact,
 )
-from .linalg import SvdResult, estimate_opnorm_sq, fwht_normalized, solve_psd, thin_svd
-from .sketch import (
-    SketchOperator,
-    SketchSpec,
-    alpha_balance,
-    build_sketch,
-    explicit_sketch,
-    identity_sketch,
-    leverage_scores,
-    verify_projection_condition,
-)
-from .subsolver import SketchedQuadratic, SolverControls, SubsolveResult, solve_constrained
+from .sketch import SketchSpec
+from .subsolver import SolverControls
 
 __all__ = [
-    "Box", "ConstraintSet", "L1Ball", "NuclearBall", "Simplex", "Unconstrained",
-    "contains", "project",
-    "ExperimentRow", "gen_lowrank", "gen_sparse", "gen_unconstrained", "run_experiment",
-    "IhsConfig", "IhsReport", "LsProblem",
-    "classical_sketch_solve", "contraction_certificates_unconstrained",
-    "hessian_sketch_solve", "ihs_solve",
-    "recommend_iterations", "recommend_sketch_size", "solve_exact",
-    "SvdResult", "estimate_opnorm_sq", "fwht_normalized", "solve_psd", "thin_svd",
-    "SketchOperator", "SketchSpec", "alpha_balance", "build_sketch",
-    "explicit_sketch", "identity_sketch", "leverage_scores", "verify_projection_condition",
-    "SketchedQuadratic", "SolverControls", "SubsolveResult", "solve_constrained",
+    "Box", "L1Ball", "NuclearBall", "Simplex", "Unconstrained",
+    "IhsConfig", "IhsReport", "LsProblem", "SketchSpec", "SolverControls",
+    "classical_sketch_solve", "hessian_sketch_solve", "ihs_solve", "solve_exact",
+    "recommend_iterations", "recommend_sketch_size",
 ]

@@ -15,10 +15,13 @@ Point i, trial t draws its problem from the stream ``(seed, fig, i, t,
 ``(fig, i, t, 2)``. A row's flag joins the point's tag (the traces'
 ``gamma=<value>``) and ``nonconverged``, set when its solver stopped at
 its iteration cap, by ``;``. A typed solver error turns the point's
-rows into one ``failed:<Error>`` row, of method ``ihs`` in a trace and
-``all`` in a comparison. IHS runs with ``inner_schedule="fixed"``,
-solving every constrained round to the fixed inner tolerance as the
-paper's analysis assumes. Rows have the fixed CSV schema
+rows into one row flagged ``failed:<Error>`` after the tag, of method
+``ihs`` in a trace and ``all`` in a comparison. The unconstrained
+figures (fig1, fig2, fig3) refuse a point whose IHS or classical
+sketch has fewer than d rows with a ``ValueError`` before any trial
+runs. IHS runs with ``inner_schedule="fixed"``, solving every
+constrained round to the fixed inner tolerance as the paper's analysis
+assumes. Rows have the fixed CSV schema
 
     experiment,trial,n,d,method,iter,err_ls_semi,err_truth_semi,err_truth_l2,seconds,flag
 
@@ -175,12 +178,14 @@ def _run(exp, seed, points, trials, kind, threads, trace=False, step="plain"):
     fig = _FIG_STREAM[exp]
 
     def task(i, p, t):
+        def flag(status):
+            return ";".join(part for part in (p.tag, status) if part)
+
         def row(method, iteration, x, seconds, converged):
-            flag = ";".join(part for part in (p.tag, "" if converged else "nonconverged")
-                            if part)
             return ExperimentRow(exp, t, p.n, p.d, method, iteration, prob.seminorm(x - x_ls),
                                  prob.seminorm(x - prob.truth),
-                                 float(np.linalg.norm(x - prob.truth)), seconds, flag)
+                                 float(np.linalg.norm(x - prob.truth)), seconds,
+                                 flag("" if converged else "nonconverged"))
 
         try:
             prob = p.make((seed, fig, i, t, 0))
@@ -205,7 +210,7 @@ def _run(exp, seed, points, trials, kind, threads, trace=False, step="plain"):
                                                      ("classical", 0, classical, sec_cl))]
         except IhskitError as exc:
             return [ExperimentRow(exp, t, p.n, p.d, "ihs" if trace else "all", 0, None, None,
-                                  None, 0.0, f"failed:{type(exc).__name__}")]
+                                  None, 0.0, flag(f"failed:{type(exc).__name__}"))]
 
     jobs = [(i, p, t) for i, p in enumerate(points) for t in range(trials)]
     if threads <= 1:
@@ -216,11 +221,23 @@ def _run(exp, seed, points, trials, kind, threads, trace=False, step="plain"):
     return [row for chunk in chunks for row in chunk]
 
 
+def _check_full_rank(exp, points):
+    """Refuse, before any trial runs, an unconstrained point whose IHS or
+    classical sketch has fewer than d rows: its sketched Gram is singular,
+    so the point is a grid error, not a failed trial."""
+    for p in points:
+        m = min(p.m, p.classical_m or p.m)  # the default classical m, rounds * m, is >= m
+        if m < p.d:
+            raise ValueError(f"{exp}: sketch size m = {m:g} is below d = {p.d}; an "
+                             f"unconstrained point needs m >= d")
+
+
 def _run_fig1(seed, d=10, m_factor=7, n_grid=(100, 400, 1600, 6400), trials=30,
               sigma=1.0, kind="gaussian", threads=1):
     m = math.ceil(m_factor * d)
     points = [_Point(partial(gen_unconstrained, n, d, sigma), n, d, m,
                      1 + math.ceil(math.log(n))) for n in n_grid]
+    _check_full_rank("fig1", points)
     return _run("fig1", seed, points, trials, kind, threads)
 
 
@@ -230,6 +247,7 @@ def _run_fig2(seed, d=200, n=6000, gammas=(4, 6, 8), rounds=6, trials=10,
     # paper's plain-IHS traces
     points = [_Point(partial(gen_unconstrained, n, d, sigma), n, d, math.ceil(g * d), rounds,
                      tag=f"gamma={g:g}") for g in gammas]
+    _check_full_rank("fig2", points)
     return _run("fig2", seed, points, trials, kind, threads, trace=True, step=step)
 
 
@@ -241,6 +259,7 @@ def _run_fig3(seed, d_grid=(16, 32, 64), n_factor=100, gamma=6, classical_budget
         nrounds = 1 + math.ceil(math.log2(math.sqrt(n / d))) if rounds is None else rounds
         points.append(_Point(partial(gen_unconstrained, n, d, sigma), n, d,
                              math.ceil(gamma * d), nrounds, classical_budget * d))
+    _check_full_rank("fig3", points)
     return _run("fig3", seed, points, trials, kind, threads)
 
 
@@ -410,7 +429,7 @@ def summarize(rows: Sequence[ExperimentRow]) -> str:
         trials = len({trial for _, trial in runs})
         parts.append(f"{method}: mean err_truth={np.mean(vals):.4g} "
                      f"(trials={trials}, points={points})")
-    failed = sum(1 for row in rows if row.flag.startswith("failed"))
+    failed = sum(1 for row in rows if "failed:" in row.flag)
     if failed:
         parts.append(f"failed rows={failed}")
     return "; ".join(parts) if parts else "no rows"

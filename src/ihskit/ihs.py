@@ -136,13 +136,6 @@ from .subsolver import (
     solve_constrained,
 )
 
-__all__ = [
-    "LsProblem", "IhsConfig", "IhsReport",
-    "solve_exact", "classical_sketch_solve", "hessian_sketch_solve", "ihs_solve",
-    "recommend_sketch_size", "recommend_iterations",
-    "contraction_certificates_unconstrained",
-]
-
 STEPS = ("plain", "tuned")
 INNER_SCHEDULES = ("tracking", "fixed")
 

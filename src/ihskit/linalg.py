@@ -6,6 +6,10 @@ it, a thin SVD wrapper, a positive-definite solver (one LAPACK
 ``dposv`` call, whose ``info`` names the failing pivot), the largest
 eigenvalue of a symmetric matrix, and a power-iteration estimate of
 ``lambda_max(B^T B)`` for when only the factor B is at hand.
+
+``estimate_opnorm_sq`` has no caller in ``ihskit``: every solver takes
+lambda_max from the Gram matrix by ``top_eigenvalue``. It stays only
+because perfbench's tracer names it as a layer.
 """
 
 from __future__ import annotations

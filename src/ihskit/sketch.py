@@ -350,7 +350,8 @@ def verify_projection_condition(
     :func:`~ihskit.linalg.top_eigenvalue` then overwrites in place, with
     no copy of it. The sum is not
     compensated: its rounding sits orders of magnitude below the sampling
-    error.
+    error. With ``return_details`` it returns ``(eta_hat, {"singular_draws":
+    count})``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -367,5 +368,5 @@ def verify_projection_condition(
         acc = scipy.linalg.blas.dsyrk(1.0, b.T, beta=1.0, c=acc, trans=1, lower=1, overwrite_c=1)
     eta = (n / spec.m) * top_eigenvalue(acc, overwrite_g=True) / trials
     if return_details:
-        return eta, {"trials": trials, "singular_draws": n_singular}
+        return eta, {"singular_draws": n_singular}
     return eta

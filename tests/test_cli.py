@@ -306,6 +306,44 @@ class TestSolve:
         assert code == 1
         capsys.readouterr()
 
+    def test_timings_add_per_round_seconds_only_on_request(self, tmp_path, capsys):
+        args = ["solve", "--method", "ihs", "--m", "30", "--rounds", "4", "--seed", "9",
+                "--generate", "unconstrained", "--n", "100", "--d", "5"]
+        reports = {}
+        for sub, extra in (("t", ["--timings"]), ("r1", []), ("r2", [])):
+            prefix = tmp_path / sub / "P"
+            assert run(args + ["--out", prefix] + extra) == 0
+            reports[sub] = (tmp_path / sub / "P_report.json").read_bytes()
+        timed = json.loads(reports["t"])
+        assert timed["rounds"] == 4 and len(timed["per_round_seconds"]) == 4
+        assert all(s >= 0 for s in timed["per_round_seconds"])
+        assert "per_round_seconds" not in json.loads(reports["r1"])
+        assert reports["r1"] == reports["r2"]
+        capsys.readouterr()
+
+    def test_lowrank_sketch_dimension_derived(self, capsys):
+        code = run(["solve", "--method", "ihs", "--generate", "lowrank", "--n", "120",
+                    "--d1", "6", "--d2", "6", "--r", "2", "--rounds", "2", "--seed", "3"])
+        assert code == 0
+        assert "using recommended sketch dimension m = 144" in capsys.readouterr().err
+
+    def test_constrained_file_problem_needs_m(self, problem_files, capsys):
+        a, y = problem_files
+        code = run(["solve", "--method", "ihs", "--matrix", a, "--rhs", y, "--seed", "1",
+                    "--constraint", '{"type": "l1", "radius": 1}'])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--m is required" in captured.err
+
+    def test_two_column_rhs_is_usage_error(self, problem_files, tmp_path, capsys):
+        a, _ = problem_files
+        y2 = tmp_path / "y2.csv"
+        y2.write_text("1,2\n3,4\n5,6\n")
+        code = run(["solve", "--method", "exact", "--matrix", a, "--rhs", y2])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "expected a single row or column, got shape (3, 2)" in captured.err
+
 
 def _hard_tokens(rng):
     """Number spellings where a careless parser would round or refuse differently."""
@@ -783,6 +821,18 @@ class TestExperiment:
         assert code == 1
         assert f"IHSKIT_THREADS must be a positive integer, got '{value}'" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exp_id, extra", [
+        ("fig2", ["--n", "200"]), ("fig3", []),
+    ])
+    def test_sketch_smaller_than_d_is_grid_error(self, tmp_path, capsys, exp_id, extra):
+        out = tmp_path / "g.csv"
+        code = run(["experiment", "--id", exp_id, "--d", "8", "--gamma", "0.5", "--trials",
+                    "1", "--seed", "1", "--out", out] + extra)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"error: {exp_id}: sketch size m = 4 is below d = 8" in captured.err
         assert not out.exists()
 
     def test_unknown_id_lists_valid(self, tmp_path, capsys):

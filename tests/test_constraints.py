@@ -285,3 +285,18 @@ def test_nuclear_ball_requires_integer_dimensions(d1, d2):
 def test_nuclear_ball_takes_numpy_integers():
     cset = NuclearBall(1.0, np.int64(2), np.int32(3))
     assert project(cset, np.ones(6)).shape == (6,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L1Ball(0), lambda: NuclearBall(0, 2, 2), lambda: NuclearBall(1, 0, 2),
+], ids=["l1_radius_zero", "nuclear_radius_zero", "nuclear_d1_zero"])
+def test_degenerate_balls_rejected(make):
+    with pytest.raises(ValueError, match="must be positive"):
+        make()
+
+
+def test_vector_box_of_wrong_length_rejected_by_problem():
+    from ihskit.ihs import LsProblem
+
+    with pytest.raises(DimensionError, match="constraint set expects dimension 2, A has 3 columns"):
+        LsProblem(rng.standard_normal((6, 3)), np.zeros(6), set=Box(np.zeros(2), np.ones(2)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ihskit.experiments as experiments
-from ihskit.errors import IhskitError
+from ihskit.errors import IhskitError, RankDeficiencyError
 from ihskit.experiments import (
     CSV_HEADER,
     gen_lowrank,
@@ -266,3 +266,46 @@ def test_trial_and_thread_counts_below_one_rejected(kw):
 def test_zero_rounds_rejected_where_the_default_is_computed(exp_id, kw):
     with pytest.raises(ValueError, match="rounds must be >= 1"):
         run_experiment(exp_id, seed=1, trials=1, rounds=0, **kw)
+
+
+@pytest.mark.parametrize("exp_id, kw", [
+    ("fig1", {"d": 8, "n_grid": (200,), "m_factor": 0.5}),
+    ("fig2", {"d": 8, "n": 200, "gammas": (6, 0.5)}),
+    ("fig3", {"d_grid": (8,), "gamma": 0.5}),
+    ("fig3", {"d_grid": (8,), "classical_budget": 0.5}),
+], ids=["fig1_ihs", "fig2_ihs", "fig3_ihs", "fig3_classical"])
+def test_unconstrained_sketch_smaller_than_d_refused_before_any_trial(monkeypatch, exp_id, kw):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "gen_unconstrained", no_trial)
+    with pytest.raises(ValueError, match=f"{exp_id}: sketch size m = 4 is below d = 8"):
+        run_experiment(exp_id, seed=1, trials=1, **kw)
+
+
+@pytest.mark.parametrize("exp_id, kw, method, tag", [
+    ("fig1", {"d": 4, "n_grid": (60, 100)}, "all", ""),
+    ("fig2", {"d": 8, "n": 200, "gammas": (4, 6), "rounds": 2}, "ihs", "gamma=4;"),
+], ids=["comparison", "trace"])
+def test_failed_trial_becomes_one_tagged_row(monkeypatch, tmp_path, exp_id, kw, method, tag):
+    # point 0, trial 1 raises in its IHS solve; every other job keeps its rows
+    clean = run_experiment(exp_id, seed=2, trials=2, **kw)
+    solve = experiments.ihs_solve
+
+    def failing(prob, config, **kwargs):
+        if config.spec.stream[1:3] == (0, 1):
+            raise RankDeficiencyError("singular sketched Gram")
+        return solve(prob, config, **kwargs)
+
+    monkeypatch.setattr(experiments, "ihs_solve", failing)
+    rows = run_experiment(exp_id, seed=2, trials=2, **kw)
+    per_job = 3  # exact, ihs, classical; or iterates 0..2 of a two-round trace
+    failed = experiments.ExperimentRow(exp_id, 1, clean[0].n, clean[0].d, method, 0, None, None,
+                                       None, 0.0, tag + "failed:RankDeficiencyError")
+    want = clean[:per_job] + [failed] + clean[2 * per_job:]
+    assert [replace(r, seconds=0.0) for r in rows] == [replace(r, seconds=0.0) for r in want]
+    path = tmp_path / "rows.csv"
+    write_rows(rows, path)
+    line = path.read_text().splitlines()[1 + per_job]
+    assert line == f"{exp_id},1,{failed.n},{failed.d},{method},0,,,,0,{failed.flag}"
+    assert summarize(rows).endswith("; failed rows=1")

@@ -503,3 +503,12 @@ def test_explicit_sketch_wraps_matrix():
     op = explicit_sketch(s)
     a = rng.standard_normal((5, 2))
     assert np.allclose(op.apply(a), s @ a)
+
+
+@pytest.mark.parametrize("p, error, message", [
+    (np.full(5, 0.2), DimensionError, "leverage_p has length 5, expected 6"),
+    (np.full(6, 0.2), ValueError, "sum to 1"),
+], ids=["wrong_length", "unnormalized"])
+def test_leverage_rowsample_checks_its_probabilities(p, error, message):
+    with pytest.raises(error, match=message):
+        build_sketch(SketchSpec("rowsample_leverage", 3, 1), 6, leverage_p=p)

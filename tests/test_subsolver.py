@@ -217,3 +217,11 @@ class TestStoppingMeasure:
         lip = OPNORM_SAFETY * top_eigenvalue(q.G)
         step = project(cset, res.x - (q.G @ res.x - c) / lip)
         assert lip * np.linalg.norm(res.x - step) <= 2.0 * tol
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"tol": 0}, "tol must be positive"), ({"max_iter": 0}, "max_iter must be >= 1"),
+])
+def test_controls_out_of_range_rejected(kw, message):
+    with pytest.raises(ValueError, match=message):
+        SolverControls(**kw)
